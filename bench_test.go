@@ -555,8 +555,8 @@ func BenchmarkShardedThroughput(b *testing.B) {
 }
 
 // BenchmarkPipelineDepth sweeps the pipeline depth on one shard:
-// depth=1 degenerates to a request/response lockstep (protocol-v2
-// behaviour with v3 framing), while larger depths let the 16 workers
+// depth=1 degenerates to a request/response lockstep (one request in
+// flight, still in batch frames), while larger depths let the 16 workers
 // keep many requests in flight and amortize syscalls across batches.
 func BenchmarkPipelineDepth(b *testing.B) {
 	for _, depth := range []int{1, 8, 64} {

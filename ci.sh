@@ -60,30 +60,40 @@ echo "== crash recovery smoke"
 # codec -> CLI.
 go run ./cmd/gadget run -config configs/crash-recovery.json
 
+# start_server NAME SHARDS ADDR: builds gadget-server into a fresh temp
+# dir, starts it in the background with SHARDS memstore shards on ADDR
+# (port, port+1, ...), and waits for its ready file. Sets server_tmp and
+# server_pid; stop_server tears both down.
+start_server() {
+    server_tmp=$(mktemp -d)
+    go build -o "$server_tmp/gadget-server" ./cmd/gadget-server
+    "$server_tmp/gadget-server" -shards "$2" -engine memstore \
+        -addr "$3" -ready-file "$server_tmp/ready" &
+    server_pid=$!
+    trap stop_server EXIT
+    for _ in $(seq 1 100); do
+        [ -f "$server_tmp/ready" ] && return 0
+        sleep 0.1
+    done
+    echo "$1: server never wrote its ready file" >&2
+    exit 1
+}
+
+stop_server() {
+    kill "$server_pid" 2>/dev/null || true
+    wait "$server_pid" 2>/dev/null || true
+    trap - EXIT
+    rm -rf "$server_tmp"
+}
+
 echo "== sharded remote smoke"
 # Two-shard memstore cluster on fixed ports 7301/7302, driven end to end
 # through the standard config surface (store.remote.shards expands the
 # base addr into per-shard listeners), exercising config -> stores ->
 # shard client -> protocol v3 batching -> CLI.
-sharded_tmp=$(mktemp -d)
-go build -o "$sharded_tmp/gadget-server" ./cmd/gadget-server
-"$sharded_tmp/gadget-server" -shards 2 -engine memstore \
-    -addr 127.0.0.1:7301 -ready-file "$sharded_tmp/ready" &
-sharded_pid=$!
-trap 'kill "$sharded_pid" 2>/dev/null || true; rm -rf "$sharded_tmp"' EXIT
-for _ in $(seq 1 100); do
-    [ -f "$sharded_tmp/ready" ] && break
-    sleep 0.1
-done
-if [ ! -f "$sharded_tmp/ready" ]; then
-    echo "sharded smoke: server never wrote its ready file" >&2
-    exit 1
-fi
+start_server "sharded smoke" 2 127.0.0.1:7301
 go run ./cmd/gadget run -config configs/sharded-remote.json
-kill "$sharded_pid" 2>/dev/null || true
-wait "$sharded_pid" 2>/dev/null || true
-trap - EXIT
-rm -rf "$sharded_tmp"
+stop_server
 
 echo "== traced sharded smoke"
 # Same two-shard topology on port 7311 with per-op tracing enabled
@@ -91,26 +101,20 @@ echo "== traced sharded smoke"
 # traces with the wire and server stages populated, asserted through the
 # `gadget trace` renderer — exercising trace-flagged hello negotiation,
 # response trailers, flight recorder, report JSON, and the CLI printer.
-traced_tmp=$(mktemp -d)
-go build -o "$traced_tmp/gadget-server" ./cmd/gadget-server
-"$traced_tmp/gadget-server" -shards 2 -engine memstore \
-    -addr 127.0.0.1:7311 -ready-file "$traced_tmp/ready" &
-traced_pid=$!
-trap 'kill "$traced_pid" 2>/dev/null || true; rm -rf "$traced_tmp"' EXIT
-for _ in $(seq 1 100); do
-    [ -f "$traced_tmp/ready" ] && break
-    sleep 0.1
-done
-if [ ! -f "$traced_tmp/ready" ]; then
-    echo "traced sharded smoke: server never wrote its ready file" >&2
-    exit 1
-fi
-go run ./cmd/gadget run -config configs/traced-sharded.json -report "$traced_tmp/report.json"
-go run ./cmd/gadget trace -report "$traced_tmp/report.json" -n 3 -require-stages wire,server
-kill "$traced_pid" 2>/dev/null || true
-wait "$traced_pid" 2>/dev/null || true
-trap - EXIT
-rm -rf "$traced_tmp"
+start_server "traced sharded smoke" 2 127.0.0.1:7311
+go run ./cmd/gadget run -config configs/traced-sharded.json -report "$server_tmp/report.json"
+go run ./cmd/gadget trace -report "$server_tmp/report.json" -n 3 -require-stages wire,server
+stop_server
+
+echo "== traced single-endpoint smoke"
+# One server on port 7321, a bare store.addr with no store.remote
+# section, and obs.trace on: the remote engine must still negotiate
+# trace trailers, so the wire and server stages are populated rather
+# than the whole round trip being charged to the engine.
+start_server "traced single-endpoint smoke" 1 127.0.0.1:7321
+go run ./cmd/gadget run -config configs/traced-remote.json -report "$server_tmp/report.json"
+go run ./cmd/gadget trace -report "$server_tmp/report.json" -n 3 -require-stages wire,server
+stop_server
 
 echo "== fuzz remote protocol framing (short)"
 go test -run '^$' -fuzz '^FuzzServerFrame$' -fuzztime 3s -timeout 5m ./internal/remote/

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"gadget/internal/tracing"
 )
 
 // ChaosPlan describes a deterministic, seeded schedule of operation-level
@@ -76,8 +78,9 @@ type ChaosCounters struct {
 // It is safe for concurrent use; the fault lottery is serialized so the
 // schedule stays deterministic for a deterministic operation order.
 type ChaosStore struct {
-	inner Store
-	plan  ChaosPlan
+	Dispatch // Get/Put/Merge/Delete/ScanRange via DoTraced
+	inner    Store
+	plan     ChaosPlan
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -92,7 +95,9 @@ func NewChaosStore(inner Store, plan ChaosPlan) *ChaosStore {
 	if err := plan.Validate(); err != nil {
 		panic(err)
 	}
-	return &ChaosStore{inner: inner, plan: plan, rng: rand.New(rand.NewSource(plan.Seed))}
+	s := &ChaosStore{inner: inner, plan: plan, rng: rand.New(rand.NewSource(plan.Seed))}
+	s.Via = s
+	return s
 }
 
 // Counters returns a snapshot of the injection counters.
@@ -151,57 +156,17 @@ func (s *ChaosStore) before() (time.Duration, error) {
 	return delay, nil
 }
 
-func (s *ChaosStore) admit() error {
+// admit runs the fault lottery for one operation and imposes its
+// delay, charged to StageChaos on tc (nil for untraced calls).
+func (s *ChaosStore) admit(tc *tracing.Ctx) error {
 	delay, err := s.before()
 	if err != nil {
 		return err
 	}
 	if delay > 0 {
-		time.Sleep(delay)
+		sleepTraced(tc, tracing.StageChaos, delay)
 	}
 	return nil
-}
-
-// Get implements Store.
-func (s *ChaosStore) Get(key []byte) ([]byte, error) {
-	if err := s.admit(); err != nil {
-		return nil, err
-	}
-	return s.inner.Get(key)
-}
-
-// Put implements Store.
-func (s *ChaosStore) Put(key, value []byte) error {
-	if err := s.admit(); err != nil {
-		return err
-	}
-	return s.inner.Put(key, value)
-}
-
-// Merge implements Store.
-func (s *ChaosStore) Merge(key, operand []byte) error {
-	if err := s.admit(); err != nil {
-		return err
-	}
-	return s.inner.Merge(key, operand)
-}
-
-// Delete implements Store.
-func (s *ChaosStore) Delete(key []byte) error {
-	if err := s.admit(); err != nil {
-		return err
-	}
-	return s.inner.Delete(key)
-}
-
-// ScanRange implements RangeScanner when the wrapped store supports
-// scans: the admission lottery charges the scan as one operation, then
-// delegates.
-func (s *ChaosStore) ScanRange(lo, hi StateKey) ([]Entry, error) {
-	if err := s.admit(); err != nil {
-		return nil, err
-	}
-	return ScanRange(s.inner, lo, hi)
 }
 
 // Snapshot implements Snapshotter when the wrapped store does. Acquiring
@@ -210,7 +175,7 @@ func (s *ChaosStore) ScanRange(lo, hi StateKey) ([]Entry, error) {
 // mid-scan with ErrInjectedFault — exactly the partial-failure mode a
 // resilience layer above has to absorb.
 func (s *ChaosStore) Snapshot() (Snapshot, error) {
-	if err := s.admit(); err != nil {
+	if err := s.admit(nil); err != nil {
 		return nil, err
 	}
 	snap, err := SnapshotOf(s.inner)
@@ -226,7 +191,7 @@ type chaosSnapshot struct {
 }
 
 func (cs *chaosSnapshot) Get(key []byte) ([]byte, error) {
-	if err := cs.s.admit(); err != nil {
+	if err := cs.s.admit(nil); err != nil {
 		return nil, err
 	}
 	return cs.inner.Get(key)
@@ -252,7 +217,7 @@ func (it *chaosIterator) Next() bool {
 	if it.err != nil {
 		return false
 	}
-	if err := it.s.admit(); err != nil {
+	if err := it.s.admit(nil); err != nil {
 		it.err = err
 		return false
 	}

@@ -1,12 +1,13 @@
 package kv
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"gadget/internal/tracing"
 )
 
 // ResilienceOptions configures a ResilientStore. The zero value enables
@@ -103,8 +104,9 @@ const (
 // retried, and Merge is never retried past an outcome-unknown failure.
 // It is safe for concurrent use.
 type ResilientStore struct {
-	inner Store
-	opts  ResilienceOptions
+	Dispatch // Get/Put/Merge/Delete/ScanRange via DoTraced
+	inner    Store
+	opts     ResilienceOptions
 	// slowAlways forces the full pipeline for every op (set when a per-op
 	// deadline is configured, since that needs the attempt goroutine).
 	slowAlways bool
@@ -138,18 +140,18 @@ func NewResilientStore(inner Store, opts ResilienceOptions) (*ResilientStore, er
 		return nil, err
 	}
 	o := opts.withDefaults()
-	return &ResilientStore{
+	r := &ResilientStore{
 		inner:      inner,
 		opts:       o,
 		slowAlways: o.OpTimeout > 0,
 		rng:        rand.New(rand.NewSource(o.JitterSeed)),
-	}, nil
+	}
+	r.Via = r
+	return r, nil
 }
 
 // fastOK reports whether an op may skip the resilience pipeline: no
 // per-op deadline, breaker closed, and no failure streak in progress.
-// In that state a successful first attempt needs no bookkeeping at all,
-// which keeps the happy-path overhead to two atomic loads.
 func (r *ResilientStore) fastOK() bool {
 	return !r.slowAlways && r.state.Load() == breakerClosed && r.consecFails.Load() == 0
 }
@@ -253,186 +255,62 @@ func (r *ResilientStore) backoff(n int) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
-type opResult struct {
-	v   []byte
-	err error
-}
-
 // attempt runs f, bounding it by OpTimeout when configured. On timeout
 // the call is abandoned: its goroutine finishes against the buffered
 // channel and its result is dropped.
-func (r *ResilientStore) attempt(f func() ([]byte, error)) ([]byte, error) {
+func (r *ResilientStore) attempt(f func() error) error {
 	if r.opts.OpTimeout <= 0 {
 		return f()
 	}
-	ch := make(chan opResult, 1)
-	go func() {
-		v, err := f()
-		ch <- opResult{v, err}
-	}()
+	ch := make(chan error, 1)
+	go func() { ch <- f() }()
 	t := time.NewTimer(r.opts.OpTimeout)
 	defer t.Stop()
 	select {
-	case res := <-ch:
-		return res.v, res.err
+	case err := <-ch:
+		return err
 	case <-t.C:
 		r.timeouts.Add(1)
-		return nil, fmt.Errorf("%w after %v", ErrDeadlineExceeded, r.opts.OpTimeout)
+		return fmt.Errorf("%w after %v", ErrDeadlineExceeded, r.opts.OpTimeout)
 	}
 }
 
-// do runs f with the full resilience pipeline for operation type op.
-func (r *ResilientStore) do(op Op, f func() ([]byte, error)) ([]byte, error) {
-	attempts := 1 + r.opts.MaxRetries
-	if attempts < 1 {
-		attempts = 1
+// retry is the one resilience loop, shared by every operation and by
+// Snapshot: try runs one attempt of an operation of type op. err is the
+// error of a first attempt already made on the fast path, or nil when no
+// attempt has run yet. Each attempt consults the breaker, failures are
+// retried while RetrySafe holds, and backoff sleeps are charged to
+// StageRetry on tc (nil for untraced calls).
+func (r *ResilientStore) retry(tc *tracing.Ctx, op Op, err error, try func() error) error {
+	first := 0
+	if err != nil {
+		r.record(false, false)
+		first = 1
 	}
-	var v []byte
-	var err error
-	for i := 0; i < attempts; i++ {
+	attempts := max(1, 1+r.opts.MaxRetries) // MaxRetries -1: no retries
+	for i := first; i < attempts; i++ {
 		if i > 0 {
 			if !RetrySafe(op, err) {
 				break
 			}
 			r.retries.Add(1)
-			time.Sleep(r.backoff(i))
+			tc.Attempt()
+			sleepTraced(tc, tracing.StageRetry, r.backoff(i))
 		}
 		probe, allowErr := r.allow()
 		if allowErr != nil {
 			err = allowErr
 			continue // the cooldown may elapse during the next backoff
 		}
-		v, err = r.attempt(f)
-		// Contract outcomes (miss, unsupported merge) are successes as far
-		// as the breaker and retry budget are concerned.
-		ok := err == nil || errors.Is(err, ErrNotFound) || errors.Is(err, ErrMergeUnsupported)
+		err = try()
+		ok := contractOK(err)
 		r.record(ok, probe)
 		if ok {
-			return v, err
+			return err
 		}
 	}
 	r.degraded.Add(1)
-	return nil, err
-}
-
-// doRetry continues the pipeline after a failed fast-path first attempt:
-// it records that failure with the breaker, then runs the remaining
-// retry budget exactly as do would.
-func (r *ResilientStore) doRetry(op Op, err error, f func() ([]byte, error)) ([]byte, error) {
-	r.record(false, false)
-	attempts := 1 + r.opts.MaxRetries
-	var v []byte
-	for i := 1; i < attempts; i++ {
-		if !RetrySafe(op, err) {
-			break
-		}
-		r.retries.Add(1)
-		time.Sleep(r.backoff(i))
-		probe, allowErr := r.allow()
-		if allowErr != nil {
-			err = allowErr
-			continue
-		}
-		v, err = r.attempt(f)
-		ok := err == nil || errors.Is(err, ErrNotFound) || errors.Is(err, ErrMergeUnsupported)
-		r.record(ok, probe)
-		if ok {
-			return v, err
-		}
-	}
-	r.degraded.Add(1)
-	return nil, err
-}
-
-// Get implements Store.
-func (r *ResilientStore) Get(key []byte) ([]byte, error) {
-	if r.fastOK() {
-		v, err := r.inner.Get(key)
-		if err == nil || errors.Is(err, ErrNotFound) {
-			return v, err
-		}
-		return r.doRetry(OpGet, err, func() ([]byte, error) { return r.inner.Get(key) })
-	}
-	return r.do(OpGet, func() ([]byte, error) { return r.inner.Get(key) })
-}
-
-// Put implements Store.
-func (r *ResilientStore) Put(key, value []byte) error {
-	if r.fastOK() {
-		err := r.inner.Put(key, value)
-		if err == nil {
-			return nil
-		}
-		_, err = r.doRetry(OpPut, err, func() ([]byte, error) { return nil, r.inner.Put(key, value) })
-		return err
-	}
-	_, err := r.do(OpPut, func() ([]byte, error) { return nil, r.inner.Put(key, value) })
 	return err
-}
-
-// Merge implements Store. A merge is retried only while RetrySafe holds:
-// after an outcome-unknown failure (deadline, lost connection) the error
-// surfaces instead, because replaying the operand could duplicate it.
-func (r *ResilientStore) Merge(key, operand []byte) error {
-	if r.fastOK() {
-		err := r.inner.Merge(key, operand)
-		if err == nil || errors.Is(err, ErrMergeUnsupported) {
-			return err
-		}
-		_, err = r.doRetry(OpMerge, err, func() ([]byte, error) { return nil, r.inner.Merge(key, operand) })
-		return err
-	}
-	_, err := r.do(OpMerge, func() ([]byte, error) { return nil, r.inner.Merge(key, operand) })
-	return err
-}
-
-// Delete implements Store.
-func (r *ResilientStore) Delete(key []byte) error {
-	if r.fastOK() {
-		err := r.inner.Delete(key)
-		if err == nil || errors.Is(err, ErrNotFound) {
-			return err
-		}
-		_, err = r.doRetry(OpDelete, err, func() ([]byte, error) { return nil, r.inner.Delete(key) })
-		return err
-	}
-	_, err := r.do(OpDelete, func() ([]byte, error) { return nil, r.inner.Delete(key) })
-	return err
-}
-
-// ScanRange implements RangeScanner with the full pipeline: scans are
-// reads, so transient failures retry safely under the OpScan budget.
-// The result is published under a mutex because a timed-out attempt is
-// abandoned, not cancelled — it may still complete and write late.
-func (r *ResilientStore) ScanRange(lo, hi StateKey) ([]Entry, error) {
-	var mu sync.Mutex
-	var out []Entry
-	f := func() ([]byte, error) {
-		ents, err := ScanRange(r.inner, lo, hi)
-		if err == nil {
-			mu.Lock()
-			if out == nil {
-				out = ents
-			}
-			mu.Unlock()
-		}
-		return nil, err
-	}
-	var err error
-	if r.fastOK() {
-		if _, err = f(); err == nil {
-			return out, nil
-		}
-		_, err = r.doRetry(OpScan, err, f)
-	} else {
-		_, err = r.do(OpScan, f)
-	}
-	if err != nil {
-		return nil, err
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	return out, nil
 }
 
 // Snapshot implements Snapshotter, bounding acquisition with the per-op
@@ -441,32 +319,26 @@ func (r *ResilientStore) ScanRange(lo, hi StateKey) ([]Entry, error) {
 // not deadline-bounded (a drain's pacing belongs to the caller). A
 // snapshot acquired by an abandoned late attempt is closed, never
 // leaked; the first successful acquisition wins.
-func (r *ResilientStore) Snapshot() (snap Snapshot, retErr error) {
+func (r *ResilientStore) Snapshot() (Snapshot, error) {
 	var mu sync.Mutex
 	var won Snapshot
 	failed := false
-	f := func() ([]byte, error) {
-		sn, err := SnapshotOf(r.inner)
-		if err == nil {
-			mu.Lock()
-			if failed || won != nil {
+	err := r.retry(nil, OpScan, nil, func() error {
+		return r.attempt(func() error {
+			sn, err := SnapshotOf(r.inner)
+			if err == nil {
+				mu.Lock()
+				if failed || won != nil {
+					mu.Unlock()
+					sn.Close()
+					return nil
+				}
+				won = sn
 				mu.Unlock()
-				sn.Close()
-				return nil, nil
 			}
-			won = sn
-			mu.Unlock()
-		}
-		return nil, err
-	}
-	var err error
-	if r.fastOK() {
-		if _, err = f(); err != nil {
-			_, err = r.doRetry(OpScan, err, f)
-		}
-	} else {
-		_, err = r.do(OpScan, f)
-	}
+			return err
+		})
+	})
 	mu.Lock()
 	defer mu.Unlock()
 	if err != nil && won == nil {

@@ -30,28 +30,34 @@ type TracedResult struct {
 	Entries []Entry
 }
 
-// Traceable is the optional traced fast path: stores (engines,
-// middleware, remote clients) that can attribute internal phases to a
-// tracing.Ctx implement it. DoTraced is called with a non-nil Ctx and
-// must behave exactly like the corresponding plain Store call, plus
-// stamping the stages the layer adds. Implementations that wrap an
-// inner store delegate with DoTraced(inner, tc, op) so attribution
-// composes through middleware stacks.
+// Traceable is the envelope dispatch path: stores (engines, middleware,
+// remote clients) that can attribute internal phases to a tracing.Ctx
+// implement it. DoTraced must behave exactly like the corresponding
+// plain Store call, plus stamping the stages the layer adds. The Ctx may
+// be nil (an untraced call): tracing.Ctx is nil-safe, so one body serves
+// both. Implementations that wrap an inner store delegate with
+// DoTraced(inner, tc, op) so attribution composes through middleware
+// stacks.
 type Traceable interface {
 	DoTraced(tc *tracing.Ctx, op TracedOp) (TracedResult, error)
 }
 
-// DoTraced dispatches op against s. With a nil Ctx it runs the plain
-// Store call (zero tracing cost). With a non-nil Ctx it takes s's
-// Traceable path when implemented; otherwise it times the plain call
-// and attributes the whole inner duration to StageEngine, so opaque
-// leaves (memstore, the v2 client, ...) still account in the stage sum.
+// DoTraced dispatches op against s. A Traceable store gets the envelope
+// directly, traced or not. Any other store runs the plain Store call; a
+// non-nil Ctx then charges the whole inner duration to StageEngine, so
+// opaque leaves (memstore, faster, ...) still account in the stage sum.
 func DoTraced(s Store, tc *tracing.Ctx, op TracedOp) (TracedResult, error) {
+	return descend(s, tc, &op)
+}
+
+// descend is DoTraced with the envelope passed by pointer, so the
+// wrappers in this package do not copy it once more per layer.
+func descend(s Store, tc *tracing.Ctx, op *TracedOp) (TracedResult, error) {
+	if t, ok := s.(Traceable); ok {
+		return t.DoTraced(tc, *op)
+	}
 	if tc == nil {
 		return applyPlain(s, op)
-	}
-	if t, ok := s.(Traceable); ok {
-		return t.DoTraced(tc, op)
 	}
 	t0 := tc.Now()
 	res, err := applyPlain(s, op)
@@ -60,7 +66,7 @@ func DoTraced(s Store, tc *tracing.Ctx, op TracedOp) (TracedResult, error) {
 }
 
 // applyPlain runs op through the plain Store interface.
-func applyPlain(s Store, op TracedOp) (TracedResult, error) {
+func applyPlain(s Store, op *TracedOp) (TracedResult, error) {
 	switch op.Op {
 	case OpGet, OpFGet:
 		v, err := s.Get(op.Key)
@@ -79,122 +85,96 @@ func applyPlain(s Store, op TracedOp) (TracedResult, error) {
 	}
 }
 
+// Dispatch is the shared plain surface of a Traceable layer: its
+// Get/Put/Merge/Delete and ScanRange wrap their arguments in a TracedOp
+// and call Via.DoTraced with a nil Ctx, so a layer's untraced calls run
+// exactly the body its traced calls run. A layer embeds Dispatch and
+// points Via at itself when it is constructed.
+type Dispatch struct{ Via Traceable }
+
+// Get implements Store.
+func (d Dispatch) Get(key []byte) ([]byte, error) {
+	res, err := d.Via.DoTraced(nil, TracedOp{Op: OpGet, Key: key})
+	return res.Val, err
+}
+
+// Put implements Store.
+func (d Dispatch) Put(key, value []byte) error {
+	_, err := d.Via.DoTraced(nil, TracedOp{Op: OpPut, Key: key, Val: value})
+	return err
+}
+
+// Merge implements Store.
+func (d Dispatch) Merge(key, operand []byte) error {
+	_, err := d.Via.DoTraced(nil, TracedOp{Op: OpMerge, Key: key, Val: operand})
+	return err
+}
+
+// Delete implements Store.
+func (d Dispatch) Delete(key []byte) error {
+	_, err := d.Via.DoTraced(nil, TracedOp{Op: OpDelete, Key: key})
+	return err
+}
+
+// ScanRange implements RangeScanner.
+func (d Dispatch) ScanRange(lo, hi StateKey) ([]Entry, error) {
+	res, err := d.Via.DoTraced(nil, TracedOp{Op: OpScan, Lo: lo, Hi: hi})
+	return res.Entries, err
+}
+
 // contractOK reports whether err is a contract outcome (success, miss,
-// unsupported merge) rather than a failure, matching the retry/breaker
-// accounting of the plain resilient path.
+// unsupported merge) rather than a failure: the retry budget and the
+// breaker count only failures.
 func contractOK(err error) bool {
 	return err == nil || errors.Is(err, ErrNotFound) || errors.Is(err, ErrMergeUnsupported)
 }
 
 // DoTraced implements Traceable for the chaos wrapper: the injected
 // delay is stamped as StageChaos, then the op descends to the inner
-// store's traced path. Injected errors fail before the inner call,
-// exactly like the plain path.
+// store. Injected errors fail before the inner call.
 func (s *ChaosStore) DoTraced(tc *tracing.Ctx, op TracedOp) (TracedResult, error) {
-	delay, err := s.before()
-	if err != nil {
+	if err := s.admit(tc); err != nil {
 		return TracedResult{}, err
 	}
-	if delay > 0 {
-		tc.Add(tracing.StageChaos, int64(delay))
-		time.Sleep(delay)
-	}
-	return DoTraced(s.inner, tc, op)
+	return descend(s.inner, tc, &op)
 }
 
 var _ Traceable = (*ChaosStore)(nil)
 
-// DoTraced implements Traceable for the resilient wrapper, mirroring
-// the plain fast-path/pipeline split: backoff sleeps are stamped as
-// StageRetry and each retry bumps the Ctx attempt counter.
+// DoTraced implements Traceable for the resilient wrapper. With no
+// per-op deadline, the breaker closed and no failure streak in progress
+// (fastOK), a first attempt that succeeds needs no bookkeeping at all,
+// which keeps the happy path to two atomic loads. Anything else runs
+// the one retry/breaker loop, retry, where backoff sleeps are stamped
+// as StageRetry and each retry bumps the Ctx attempt counter.
 func (r *ResilientStore) DoTraced(tc *tracing.Ctx, op TracedOp) (TracedResult, error) {
+	var res TracedResult
+	var err error
 	if r.fastOK() {
-		res, err := DoTraced(r.inner, tc, op)
-		if contractOK(err) {
+		if res, err = descend(r.inner, tc, &op); contractOK(err) {
 			return res, err
 		}
-		return r.doTracedFrom(tc, op, err, 1)
 	}
-	return r.doTraced(tc, op)
+	err = r.retry(tc, op.Op, err, func() (err error) {
+		res, err = r.tracedAttempt(tc, op)
+		return err
+	})
+	if !contractOK(err) {
+		return TracedResult{}, err
+	}
+	return res, err
 }
 
 var _ Traceable = (*ResilientStore)(nil)
 
-// doTraced runs the full traced resilience pipeline (the traced twin of
-// do).
-func (r *ResilientStore) doTraced(tc *tracing.Ctx, op TracedOp) (TracedResult, error) {
-	attempts := 1 + r.opts.MaxRetries
-	if attempts < 1 {
-		attempts = 1
-	}
-	var res TracedResult
-	var err error
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			if !RetrySafe(op.Op, err) {
-				break
-			}
-			r.retries.Add(1)
-			tc.Attempt()
-			d := r.backoff(i)
-			tc.Add(tracing.StageRetry, int64(d))
-			time.Sleep(d)
-		}
-		probe, allowErr := r.allow()
-		if allowErr != nil {
-			err = allowErr
-			continue
-		}
-		res, err = r.tracedAttempt(tc, op)
-		ok := contractOK(err)
-		r.record(ok, probe)
-		if ok {
-			return res, err
-		}
-	}
-	r.degraded.Add(1)
-	return TracedResult{}, err
-}
-
-// doTracedFrom continues the traced pipeline after a failed fast-path
-// first attempt (the traced twin of doRetry). from is the index of the
-// next attempt.
-func (r *ResilientStore) doTracedFrom(tc *tracing.Ctx, op TracedOp, err error, from int) (TracedResult, error) {
-	r.record(false, false)
-	attempts := 1 + r.opts.MaxRetries
-	var res TracedResult
-	for i := from; i < attempts; i++ {
-		if !RetrySafe(op.Op, err) {
-			break
-		}
-		r.retries.Add(1)
-		tc.Attempt()
-		d := r.backoff(i)
-		tc.Add(tracing.StageRetry, int64(d))
-		time.Sleep(d)
-		probe, allowErr := r.allow()
-		if allowErr != nil {
-			err = allowErr
-			continue
-		}
-		res, err = r.tracedAttempt(tc, op)
-		ok := contractOK(err)
-		r.record(ok, probe)
-		if ok {
-			return res, err
-		}
-	}
-	r.degraded.Add(1)
-	return TracedResult{}, err
-}
-
 // tracedAttempt runs one attempt. Without a per-op deadline the inner
-// traced path runs in the caller's goroutine. With one, the attempt may
-// be abandoned mid-flight, so the Ctx must not cross into the attempt
+// call runs in the caller's goroutine. With one, the attempt may be
+// abandoned mid-flight, so the Ctx must not cross into the attempt
 // goroutine — an abandoned attempt stamping a pooled Ctx after Finish
 // would corrupt a reused trace. Instead the whole attempt is timed from
 // the parent and charged to StageEngine (the inner breakdown is lost
-// under OpTimeout; the stage sum stays intact).
+// under OpTimeout; the stage sum stays intact). The result is published
+// under a mutex because the abandoned attempt may still complete late.
 func (r *ResilientStore) tracedAttempt(tc *tracing.Ctx, op TracedOp) (TracedResult, error) {
 	if r.opts.OpTimeout <= 0 {
 		return DoTraced(r.inner, tc, op)
@@ -202,7 +182,7 @@ func (r *ResilientStore) tracedAttempt(tc *tracing.Ctx, op TracedOp) (TracedResu
 	var mu sync.Mutex
 	var res TracedResult
 	t0 := tc.Now()
-	_, err := r.attempt(func() ([]byte, error) {
+	err := r.attempt(func() error {
 		inner, err := DoTraced(r.inner, nil, op)
 		if err == nil {
 			mu.Lock()
@@ -211,7 +191,7 @@ func (r *ResilientStore) tracedAttempt(tc *tracing.Ctx, op TracedOp) (TracedResu
 			}
 			mu.Unlock()
 		}
-		return nil, err
+		return err
 	})
 	tc.AddSince(tracing.StageEngine, t0)
 	if err != nil {
@@ -220,4 +200,10 @@ func (r *ResilientStore) tracedAttempt(tc *tracing.Ctx, op TracedOp) (TracedResu
 	mu.Lock()
 	defer mu.Unlock()
 	return res, nil
+}
+
+// sleepTraced sleeps for d, charging it to stage s of tc.
+func sleepTraced(tc *tracing.Ctx, s tracing.Stage, d time.Duration) {
+	tc.Add(s, int64(d))
+	time.Sleep(d)
 }

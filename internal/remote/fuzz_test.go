@@ -3,6 +3,7 @@ package remote
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"testing"
@@ -11,33 +12,28 @@ import (
 	"gadget/internal/memstore"
 )
 
-// FuzzServerFrame throws raw bytes at a live server connection. The
-// server must never panic or hang, and must keep serving well-formed
-// clients afterward.
+// FuzzServerFrame throws a raw byte stream, hello included, at a live
+// server connection. The server must never panic or hang, and must keep
+// serving well-formed clients afterward.
 func FuzzServerFrame(f *testing.F) {
-	// Seed corpus: valid hello, valid hello + valid request, truncated
-	// frames, oversized length fields, stale sequence numbers.
-	hello := make([]byte, helloLen)
-	binary.LittleEndian.PutUint32(hello[0:4], protoMagic)
-	hello[4] = protoV2
-	binary.LittleEndian.PutUint64(hello[5:13], 42)
+	// Seed corpus: a v3 hello alone and followed by a valid batch, a
+	// truncated hello, HTTP garbage, oversized length fields, a refused
+	// version-2 hello, and a traced hello.
+	hello := appendHello(nil, protoV3, 42)
 	f.Add(hello)
 	f.Add(hello[:7])
 	f.Add([]byte("GET / HTTP/1.1\r\n\r\n"))
-
-	req := make([]byte, reqHdrLen+1+1)
-	binary.LittleEndian.PutUint64(req[0:8], 1) // seq
-	req[8] = opPut
-	binary.LittleEndian.PutUint32(req[9:13], 1)  // keyLen
-	binary.LittleEndian.PutUint32(req[13:17], 1) // valLen
-	req[17], req[18] = 'k', 'v'
-	f.Add(append(append([]byte{}, hello...), req...))
-
-	huge := make([]byte, reqHdrLen)
-	binary.LittleEndian.PutUint64(huge[0:8], 2)
-	huge[8] = opGet
-	binary.LittleEndian.PutUint32(huge[9:13], 0xFFFFFFFF)
-	f.Add(append(append([]byte{}, hello...), huge...))
+	put := request{seq: 1, op: opPut, key: []byte("k"), val: []byte("v")}
+	f.Add(appendBatch(append([]byte(nil), hello...), []request{put}))
+	huge := make([]byte, batchHdrLen)
+	binary.LittleEndian.PutUint32(huge[0:4], 1)
+	binary.LittleEndian.PutUint32(huge[4:8], 0xFFFFFFFF)
+	f.Add(append(append([]byte(nil), hello...), huge...))
+	overrun := appendBatch(append([]byte(nil), hello...), []request{{seq: 2, op: opGet, key: []byte("k")}})
+	binary.LittleEndian.PutUint32(overrun[helloLen+batchHdrLen+9:], 0xFFFFFFFF)
+	f.Add(overrun)
+	f.Add(appendRequest(appendHello(nil, 2, 43), put))
+	f.Add(appendBatch(appendHello(nil, protoV3|helloTraceFlag, 44), []request{put}))
 
 	backing := memstore.New()
 	srv, err := Serve(backing, "127.0.0.1:0")
@@ -53,13 +49,15 @@ func FuzzServerFrame(f *testing.F) {
 		}
 		conn.SetDeadline(time.Now().Add(2 * time.Second))
 		conn.Write(data)
-		// Drain whatever the server answers until it closes or stalls;
-		// the only requirement is that it neither panics nor hangs.
+		// Half-close so a server waiting for more input sees EOF, then
+		// drain whatever it answers until it closes or stalls; the only
+		// requirement is that it neither panics nor hangs.
+		conn.(*net.TCPConn).CloseWrite()
 		io.Copy(io.Discard, conn)
 		conn.Close()
 
 		// The server must still serve a healthy client.
-		cli, err := Dial(srv.Addr())
+		cli, err := DialPipeline(srv.Addr(), PipelineOptions{})
 		if err != nil {
 			t.Fatalf("server unusable after fuzz input %x: %v", data, err)
 		}
@@ -130,6 +128,7 @@ func FuzzBatchFrame(f *testing.F) {
 		conn.SetDeadline(time.Now().Add(2 * time.Second))
 		conn.Write(appendHello(nil, protoV3, 99))
 		conn.Write(data)
+		conn.(*net.TCPConn).CloseWrite()
 		io.Copy(io.Discard, conn)
 		conn.Close()
 
@@ -144,61 +143,69 @@ func FuzzBatchFrame(f *testing.F) {
 	})
 }
 
-// FuzzClientFrame feeds arbitrary bytes to the client as server
-// responses. The client must never panic, hang, or over-read.
+// FuzzClientFrame feeds arbitrary bytes to a pipelined client as the
+// server's answer to its first batch (one Get, sequence number 1), on a
+// connection with or without negotiated trace trailers. The client must
+// never panic, hang, or over-read.
 func FuzzClientFrame(f *testing.F) {
-	// Seed corpus: OK response, not-found, error with message, transient,
-	// truncated header, oversized payload length.
-	ok := make([]byte, rspHdrLen)
-	ok[0] = statusOK
-	f.Add(ok)
-	nf := make([]byte, rspHdrLen)
-	nf[0] = statusNotFound
-	f.Add(nf)
-	msg := make([]byte, rspHdrLen+4)
-	msg[0] = statusError
-	binary.LittleEndian.PutUint32(msg[1:5], 4)
-	copy(msg[5:], "boom")
-	f.Add(msg)
-	tr := make([]byte, rspHdrLen)
-	tr[0] = statusTransient
-	f.Add(tr)
-	f.Add(ok[:2])
-	huge := make([]byte, rspHdrLen)
-	huge[0] = statusOK
-	binary.LittleEndian.PutUint32(huge[1:5], 0xFFFFFFFF)
-	f.Add(huge)
+	// Seed corpus: OK, not-found, error with message, and transient
+	// responses; a truncated header; an oversized payload length; a
+	// response for an unknown sequence number; and on traced
+	// connections, a valid trailer, out-of-order stamps, and a missing
+	// trailer.
+	rsp := func(seq uint64, status byte, val string) []byte {
+		b := make([]byte, rsp3HdrLen, rsp3HdrLen+len(val))
+		binary.LittleEndian.PutUint64(b[0:8], seq)
+		b[8] = status
+		binary.LittleEndian.PutUint32(b[9:13], uint32(len(val)))
+		return append(b, val...)
+	}
+	ok := rsp(1, statusOK, "v")
+	f.Add(ok, false)
+	f.Add(rsp(1, statusNotFound, ""), false)
+	f.Add(rsp(1, statusError, "boom"), false)
+	f.Add(rsp(1, statusTransient, "later"), false)
+	f.Add(ok[:5], false)
+	huge := rsp(1, statusOK, "")
+	binary.LittleEndian.PutUint32(huge[9:13], 0xFFFFFFFF)
+	f.Add(huge, false)
+	f.Add(rsp(99, statusOK, ""), false)
+	f.Add(appendTraceTrailer(append([]byte(nil), ok...), 10, 20), true)
+	f.Add(appendTraceTrailer(append([]byte(nil), ok...), 20, 10), true)
+	f.Add(ok, true)
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, traced bool) {
 		server, clientSide := net.Pipe()
-		dialer := func(addr string) (net.Conn, error) { return clientSide, nil }
+		dialed := false
+		dialer := func(addr string) (net.Conn, error) {
+			if dialed {
+				return nil, errors.New("the pipe can only be dialed once")
+			}
+			dialed = true
+			return clientSide, nil
+		}
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
 			defer server.Close()
 			server.SetDeadline(time.Now().Add(2 * time.Second))
-			// Consume the hello and one request, then answer with the
+			// Consume the hello and the first batch, then answer with the
 			// fuzz bytes and hang up.
 			hello := make([]byte, helloLen)
 			if _, err := io.ReadFull(server, hello); err != nil {
 				return
 			}
-			hdr := make([]byte, reqHdrLen)
-			if _, err := io.ReadFull(server, hdr); err != nil {
+			if _, err := readBatch(server); err != nil {
 				return
-			}
-			kl := binary.LittleEndian.Uint32(hdr[9:13])
-			vl := binary.LittleEndian.Uint32(hdr[13:17])
-			if kl < maxFrame && vl < maxFrame {
-				io.CopyN(io.Discard, server, int64(kl)+int64(vl))
 			}
 			server.Write(data)
 		}()
 
-		cli, err := DialOptions("fuzz", ClientOptions{
+		cli, err := DialPipeline("fuzz", PipelineOptions{
 			Dialer:  dialer,
-			Redials: -1, // the pipe can only be dialed once
+			Redials: -1,
 			Timeout: 500 * time.Millisecond,
+			Traced:  traced,
 		})
 		if err == nil {
 			// Any outcome is fine as long as it returns.

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"bufio"
+	"crypto/rand"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -15,7 +16,7 @@ import (
 	"gadget/internal/tracing"
 )
 
-// PipelineOptions tunes a protocol-v3 client.
+// PipelineOptions tunes a PipelinedClient.
 type PipelineOptions struct {
 	// Timeout bounds transport progress: each batch write, and the wait
 	// for the next response while requests are in flight (0 = none).
@@ -90,23 +91,24 @@ type pcall struct {
 	flushed int64        // tracer clock at batch cut (wire-stage start)
 }
 
-// PipelinedClient is a protocol-v3 kv.Store backed by a remote Server.
-// Unlike Client, it multiplexes many concurrent callers over one
-// connection: operations are coalesced into batch frames by a writer
-// loop, up to Depth requests ride the wire simultaneously, and responses
-// complete in whatever order the server produces them, matched by
-// sequence number. A single caller still observes synchronous kv.Store
-// semantics — the pipeline fills only when multiple goroutines share the
-// client, which is exactly the shard.Client deployment shape.
+// PipelinedClient is a kv.Store backed by a remote Server. It
+// multiplexes many concurrent callers over one connection: operations
+// are coalesced into batch frames by a writer loop, up to Depth requests
+// ride the wire simultaneously, and responses complete in whatever order
+// the server produces them, matched by sequence number. A single caller
+// still observes synchronous kv.Store semantics — the pipeline fills
+// only when multiple goroutines share the client, which is exactly the
+// shard.Client deployment shape.
 //
 // Transport failures do not poison the client: the connection is
 // re-dialed under the same session ID and every unanswered request is
 // retransmitted in sequence order; the server answers duplicates from
 // its per-session response window, keeping the stream exactly-once.
 type PipelinedClient struct {
-	addr      string
-	opts      PipelineOptions
-	sessionID uint64
+	kv.Dispatch // Get/Put/Merge/Delete/ScanRange via DoTraced
+	addr        string
+	opts        PipelineOptions
+	sessionID   uint64
 
 	mu       sync.Mutex
 	seq      uint64
@@ -133,9 +135,18 @@ type PipelinedClient struct {
 
 var _ kv.Store = (*PipelinedClient)(nil)
 
-// DialPipeline connects a protocol-v3 pipelined client. The initial
-// connection is established eagerly (sharing the redial budget) so
-// configuration errors surface immediately.
+// newSessionID draws a random 64-bit session identifier.
+func newSessionID() (uint64, error) {
+	var idBuf [8]byte
+	if _, err := rand.Read(idBuf[:]); err != nil {
+		return 0, fmt.Errorf("remote: session id: %w", err)
+	}
+	return binary.LittleEndian.Uint64(idBuf[:]), nil
+}
+
+// DialPipeline connects a pipelined client. The initial connection is
+// established eagerly (sharing the redial budget) so configuration
+// errors surface immediately.
 func DialPipeline(addr string, opts PipelineOptions) (*PipelinedClient, error) {
 	opts = opts.withDefaults()
 	id, err := newSessionID()
@@ -152,6 +163,7 @@ func DialPipeline(addr string, opts PipelineOptions) (*PipelinedClient, error) {
 		closeCh:   make(chan struct{}),
 		loopDone:  make(chan struct{}),
 	}
+	c.Via = c
 	var conn net.Conn
 	for attempt := 0; attempt <= opts.Redials; attempt++ {
 		if attempt > 0 {
@@ -168,9 +180,10 @@ func DialPipeline(addr string, opts PipelineOptions) (*PipelinedClient, error) {
 	return c, nil
 }
 
-// Caps matches Client: server-translated merge and server-side scans;
-// Snapshots stays false (Snapshot materializes the keyspace over the
-// wire).
+// Caps mirrors a store with native merge (the server translates) and
+// server-side range scans. Snapshots stays false: Snapshot() works, but
+// it materializes the full keyspace over the wire into a stop-the-world
+// kv.FallbackSnapshot rather than a cheap pinned view.
 func (c *PipelinedClient) Caps() kv.Capabilities {
 	return kv.Capabilities{NativeMerge: true, RangeScans: true}
 }
@@ -209,8 +222,7 @@ func (c *PipelinedClient) connect() (net.Conn, error) {
 // loop owns the connection lifecycle: connect, serve until the transport
 // breaks, requeue what was unanswered, reconnect. After Redials+1
 // consecutive attempts without a single response, pending operations
-// fail with a transient, outcome-unknown error (the v2 per-op contract,
-// lifted to the pipeline).
+// fail with a transient, outcome-unknown error.
 func (c *PipelinedClient) loop(conn net.Conn) {
 	defer close(c.loopDone)
 	strikes := 0
@@ -624,80 +636,55 @@ func (c *PipelinedClient) Metrics() map[string]int64 {
 	}
 }
 
-// Get implements kv.Store.
-func (c *PipelinedClient) Get(key []byte) ([]byte, error) { return c.get(nil, key) }
-
-func (c *PipelinedClient) get(tc *tracing.Ctx, key []byte) ([]byte, error) {
-	out, status, err := c.roundTrip(tc, opGet, key, nil)
-	if err != nil {
-		return nil, err
-	}
-	switch status {
-	case statusOK:
-		return out, nil
-	case statusNotFound:
-		return nil, kv.ErrNotFound
-	default:
-		return nil, remoteError(status, out)
-	}
-}
-
-// Put implements kv.Store.
-func (c *PipelinedClient) Put(key, value []byte) error { return c.write(nil, opPut, key, value) }
-
-// Merge implements kv.Store.
-func (c *PipelinedClient) Merge(key, operand []byte) error {
-	return c.write(nil, opMerge, key, operand)
-}
-
-// Delete implements kv.Store.
-func (c *PipelinedClient) Delete(key []byte) error { return c.write(nil, opDelete, key, nil) }
-
-// ScanRange implements kv.RangeScanner with a single server-side scan
-// frame, like Client.ScanRange.
-func (c *PipelinedClient) ScanRange(lo, hi kv.StateKey) ([]kv.Entry, error) {
-	return c.scanRange(nil, lo, hi)
-}
-
-func (c *PipelinedClient) scanRange(tc *tracing.Ctx, lo, hi kv.StateKey) ([]kv.Entry, error) {
-	bounds := hi.Encode(lo.Encode(make([]byte, 0, 2*kv.KeyLen)))
-	out, status, err := c.roundTrip(tc, opScan, bounds, nil)
-	if err != nil {
-		return nil, err
-	}
-	if status != statusOK {
-		return nil, remoteError(status, out)
-	}
-	c.scans.Add(1)
-	return decodeEntries(out)
-}
-
-// DoTraced implements kv.Traceable: the op rides the pipeline exactly
-// like its plain twin, with queue/wire/server stages attributed to tc
-// (server stamps require the connection to have negotiated Traced).
+// DoTraced implements kv.Traceable and, through the embedded
+// kv.Dispatch, the plain kv.Store point ops and ScanRange: every op
+// rides the pipeline through this one body. A non-nil tc gets the
+// queue/wire/server stages (server stamps require the connection to
+// have negotiated Traced).
 func (c *PipelinedClient) DoTraced(tc *tracing.Ctx, op kv.TracedOp) (kv.TracedResult, error) {
+	key, val := op.Key, []byte(nil)
+	var wop byte
 	switch op.Op {
 	case kv.OpGet, kv.OpFGet:
-		v, err := c.get(tc, op.Key)
-		return kv.TracedResult{Val: v}, err
+		wop = opGet
 	case kv.OpPut:
-		return kv.TracedResult{}, c.write(tc, opPut, op.Key, op.Val)
+		wop, val = opPut, op.Val
 	case kv.OpMerge:
-		return kv.TracedResult{}, c.write(tc, opMerge, op.Key, op.Val)
+		wop, val = opMerge, op.Val
 	case kv.OpDelete:
-		return kv.TracedResult{}, c.write(tc, opDelete, op.Key, nil)
+		wop = opDelete
 	case kv.OpScan:
-		ents, err := c.scanRange(tc, op.Lo, op.Hi)
-		return kv.TracedResult{Entries: ents}, err
+		// A scan frame carries both bounds in the key field; the server
+		// walks [lo, hi] against its engine's snapshot, so consistency
+		// is the server engine's.
+		wop, key = opScan, op.Hi.Encode(op.Lo.Encode(make([]byte, 0, 2*kv.KeyLen)))
 	default:
 		return kv.TracedResult{}, fmt.Errorf("remote: traced dispatch: unsupported op %v", op.Op)
 	}
+	out, status, err := c.roundTrip(tc, wop, key, val)
+	switch {
+	case err != nil:
+		return kv.TracedResult{}, err
+	case status == statusNotFound && wop == opGet:
+		return kv.TracedResult{}, kv.ErrNotFound
+	case status != statusOK:
+		return kv.TracedResult{}, remoteError(status, out)
+	case wop == opGet:
+		return kv.TracedResult{Val: out}, nil
+	case wop == opScan:
+		c.scans.Add(1)
+		ents, err := decodeEntries(out)
+		return kv.TracedResult{Entries: ents}, err
+	}
+	return kv.TracedResult{}, nil
 }
 
 var _ kv.Traceable = (*PipelinedClient)(nil)
 
-// Snapshot implements kv.Snapshotter via the stop-the-world fallback,
-// like Client.Snapshot.
+// Snapshot implements kv.Snapshotter via the stop-the-world fallback: a
+// full-range ScanRange materialized into a kv.FallbackSnapshot. The
+// snapshot is consistent as of the server-side scan but costs one full
+// keyspace transfer; Caps().Snapshots is false accordingly.
 func (c *PipelinedClient) Snapshot() (kv.Snapshot, error) {
 	entries, err := c.ScanRange(kv.StateKey{}, kv.MaxStateKey)
 	if err != nil {
@@ -707,17 +694,6 @@ func (c *PipelinedClient) Snapshot() (kv.Snapshot, error) {
 	snap.CountIterOps(&c.iterOps)
 	c.snapshots.Add(1)
 	return snap, nil
-}
-
-func (c *PipelinedClient) write(tc *tracing.Ctx, op byte, key, val []byte) error {
-	out, status, err := c.roundTrip(tc, op, key, val)
-	if err != nil {
-		return err
-	}
-	if status != statusOK {
-		return remoteError(status, out)
-	}
-	return nil
 }
 
 // Close shuts the pipeline down: pending operations fail with

@@ -3,7 +3,6 @@ package remote
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -16,52 +15,11 @@ import (
 	"gadget/internal/memstore"
 )
 
-func startPipelinePair(t *testing.T, opts PipelineOptions) (*Server, *PipelinedClient, *memstore.Store) {
-	t.Helper()
-	backing := memstore.New()
-	srv, err := Serve(backing, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close(); backing.Close() })
-	cli, err := DialPipeline(srv.Addr(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cli.Close() })
-	return srv, cli, backing
-}
-
-func TestPipelineBasicOps(t *testing.T) {
-	_, cli, _ := startPipelinePair(t, PipelineOptions{})
-	if _, err := cli.Get([]byte("a")); !errors.Is(err, kv.ErrNotFound) {
-		t.Fatalf("miss = %v", err)
-	}
-	if err := cli.Put([]byte("a"), []byte("1")); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := cli.Get([]byte("a")); err != nil || string(v) != "1" {
-		t.Fatalf("Get = %q, %v", v, err)
-	}
-	if err := cli.Merge([]byte("a"), []byte("2")); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := cli.Get([]byte("a")); string(v) != "12" {
-		t.Fatalf("merge = %q", v)
-	}
-	if err := cli.Delete([]byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cli.Get([]byte("a")); !errors.Is(err, kv.ErrNotFound) {
-		t.Fatal("delete failed")
-	}
-}
-
 // Many goroutines sharing one pipelined client: all ops must complete
 // correctly, and the writer must have coalesced them (fewer batch frames
 // than requests).
 func TestPipelineConcurrentWorkers(t *testing.T) {
-	_, cli, _ := startPipelinePair(t, PipelineOptions{Depth: 32})
+	_, cli, _ := startPair(t, PipelineOptions{Depth: 32})
 	const workers, perWorker = 8, 200
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -285,35 +243,10 @@ func TestPipelineReconnectExactlyOnceMerges(t *testing.T) {
 	}
 }
 
-// One server must serve v2 and v3 clients side by side over the same
-// backing store.
-func TestV2AndV3ClientsShareServer(t *testing.T) {
-	srv, v3, backing := startPipelinePair(t, PipelineOptions{})
-	v2, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v2.Close()
-	if err := v2.Put([]byte("from-v2"), []byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := v3.Put([]byte("from-v3"), []byte("b")); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := v3.Get([]byte("from-v2")); err != nil || string(v) != "a" {
-		t.Fatalf("v3 read of v2 write = %q, %v", v, err)
-	}
-	if v, err := v2.Get([]byte("from-v3")); err != nil || string(v) != "b" {
-		t.Fatalf("v2 read of v3 write = %q, %v", v, err)
-	}
-	if v, err := backing.Get([]byte("from-v3")); err != nil || string(v) != "b" {
-		t.Fatalf("backing = %q, %v", v, err)
-	}
-}
-
-// ScanRange and Snapshot work over the pipeline like they do over v2.
+// ScanRange and Snapshot work over the pipeline: one server-side scan
+// frame, and a snapshot materialized from a full-range scan.
 func TestPipelineScanAndSnapshot(t *testing.T) {
-	_, cli, _ := startPipelinePair(t, PipelineOptions{})
+	_, cli, _ := startPair(t, PipelineOptions{})
 	for i := 0; i < 10; i++ {
 		k := kv.StateKey{Group: 1, Sub: uint64(i)}
 		if err := cli.Put(k.Bytes(), []byte(fmt.Sprintf("v%d", i))); err != nil {
@@ -346,76 +279,10 @@ func TestPipelineScanAndSnapshot(t *testing.T) {
 	}
 }
 
-// Oversized requests are refused client-side with a typed error, without
-// disturbing the pipeline.
-func TestPipelineFrameTooLarge(t *testing.T) {
-	_, cli, _ := startPipelinePair(t, PipelineOptions{})
-	big := make([]byte, maxFrame+1)
-	if err := cli.Put([]byte("k"), big); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("oversized Put = %v, want ErrFrameTooLarge", err)
-	}
-	if err := cli.Put([]byte("k"), []byte("v")); err != nil {
-		t.Fatalf("pipeline unusable after refused frame: %v", err)
-	}
-}
-
-func TestPipelineClientAfterClose(t *testing.T) {
-	_, cli, _ := startPipelinePair(t, PipelineOptions{})
-	if err := cli.Put([]byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	cli.Close()
-	if err := cli.Put([]byte("k"), nil); !errors.Is(err, kv.ErrClosed) {
-		t.Fatalf("Put after close = %v", err)
-	}
-	if err := cli.Close(); err != nil {
-		t.Fatalf("double close = %v", err)
-	}
-}
-
-// A server that swallows requests without answering: the read deadline
-// must fail pending ops with a transient, outcome-unknown error instead
-// of hanging all callers forever.
-func TestPipelineTimeout(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go io.Copy(io.Discard, conn)
-		}
-	}()
-	cli, err := DialPipeline(ln.Addr().String(), PipelineOptions{
-		Timeout: 20 * time.Millisecond,
-		Redials: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	start := time.Now()
-	err = cli.Put([]byte("k"), []byte("v"))
-	if err == nil {
-		t.Fatal("hung server should time out")
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatalf("timeout too slow: %v", time.Since(start))
-	}
-	if !kv.Transient(err) || !kv.OutcomeUnknown(err) {
-		t.Fatalf("timeout misclassified: transient=%v unknown=%v (%v)", kv.Transient(err), kv.OutcomeUnknown(err), err)
-	}
-}
-
 // Depth must bound the in-flight window: with Depth=1 the pipeline
 // degrades to serial request/response but still works.
 func TestPipelineDepthOne(t *testing.T) {
-	_, cli, _ := startPipelinePair(t, PipelineOptions{Depth: 1})
+	_, cli, _ := startPair(t, PipelineOptions{Depth: 1})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -431,31 +298,6 @@ func TestPipelineDepthOne(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-// Backend errors and panics propagate per-request over the batch path
-// without poisoning the connection.
-func TestPipelineServerPanicRecovery(t *testing.T) {
-	backing := &panicStore{memstore.New()}
-	srv, err := Serve(backing, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { srv.Close(); backing.Close() }()
-	cli, err := DialPipeline(srv.Addr(), PipelineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	if err := cli.Merge([]byte("k"), []byte("x")); err == nil {
-		t.Fatal("panicking op should error")
-	}
-	if err := cli.Put([]byte("k"), []byte("v")); err != nil {
-		t.Fatalf("connection poisoned by panic: %v", err)
-	}
-	if v, err := cli.Get([]byte("k")); err != nil || string(v) != "v" {
-		t.Fatalf("Get = %q, %v", v, err)
-	}
 }
 
 func BenchmarkPipelinedRoundTrip(b *testing.B) {

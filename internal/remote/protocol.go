@@ -9,8 +9,7 @@ import (
 	"gadget/internal/kv"
 )
 
-// Wire-level constants shared by both protocol versions. See the package
-// comment for the frame layouts.
+// Wire-level constants. See the package comment for the frame layouts.
 const (
 	opGet byte = iota
 	opPut
@@ -28,43 +27,41 @@ const (
 	statusTransient byte = 3
 
 	protoMagic uint32 = 0x74676467 // "gdgt"
-	protoV2    byte   = 2
 	protoV3    byte   = 3
 
 	// The hello version byte carries the protocol version in its low
 	// seven bits plus a trace-negotiation flag in the top bit: a client
 	// setting helloTraceFlag asks the server to append a fixed
 	// traceTrailerLen-byte trailer (handle-start, handle-end — both
-	// server-monotonic nanoseconds) after every v3 response payload.
-	// Untagged v3 and v2 clients are served byte-identically to before,
-	// so trace bytes only flow where both ends understand them.
+	// server-monotonic nanoseconds) after every response payload.
+	// Untagged clients are served byte-identically, so trace bytes only
+	// flow where both ends understand them.
 	helloVersionMask byte = 0x7f
 	helloTraceFlag   byte = 0x80
 
 	helloLen    = 13
 	reqHdrLen   = 17
-	rspHdrLen   = 5  // v2: status u8 | valLen u32
-	batchHdrLen = 8  // v3: count u32 | payloadLen u32
-	rsp3HdrLen  = 13 // v3: seq u64 | status u8 | valLen u32
+	batchHdrLen = 8  // count u32 | payloadLen u32
+	rsp3HdrLen  = 13 // seq u64 | status u8 | valLen u32
 
 	// traceTrailerLen is the fixed response-trailer extension on traced
-	// v3 connections: handle-start u64 | handle-end u64 (server
-	// monotonic ns). Only the difference is meaningful to the client, so
+	// connections: handle-start u64 | handle-end u64 (server monotonic
+	// ns). Only the difference is meaningful to the client, so
 	// client and server clock domains never mix.
 	traceTrailerLen = 16
 	maxBatchOps     = 65536
-	replayWindow    = 4096 // cached responses per session; bounds v3 pipeline depth
+	replayWindow    = 4096 // cached responses per session; bounds pipeline depth
 
 	// maxFrame bounds key, value, and response payload length; both ends
-	// enforce it symmetrically with ErrFrameTooLarge. Under v3 it also
-	// bounds a whole batch payload, so a single request record (header +
+	// enforce it symmetrically with ErrFrameTooLarge. It also bounds a
+	// whole batch payload, so a single request record (header +
 	// key + value) must fit in maxFrame.
 	maxFrame = 64 << 20
 
 	// maxSessions bounds the server's reconnect-replay session table.
 	maxSessions = 4096
 
-	// maxPipelineDepth caps a v3 client's in-flight window. It must stay
+	// maxPipelineDepth caps a client's in-flight window. It must stay
 	// well under replayWindow so a reconnecting client's full
 	// retransmission is always answerable from the server's cache.
 	maxPipelineDepth = 1024
@@ -74,14 +71,15 @@ const (
 var (
 	// ErrFrameTooLarge reports a key, value, batch, or response exceeding
 	// maxFrame. On the client it fails the operation before anything is
-	// sent; on the server the oversized payload is drained and refused.
+	// sent; a server reading an oversized batch header drops the
+	// connection (a batch it will not read cannot be resynchronized) and
+	// counts it under remote_server.oversized.
 	ErrFrameTooLarge = fmt.Errorf("remote: frame exceeds %d-byte protocol limit", maxFrame)
 	// ErrProtocol reports a malformed or version-mismatched peer.
 	ErrProtocol = errors.New("remote: protocol error")
 )
 
-// request is one decoded request record, identical between v2 (one per
-// frame) and v3 (many per batch frame).
+// request is one decoded request record; a batch frame carries many.
 type request struct {
 	seq      uint64
 	op       byte
@@ -124,7 +122,7 @@ func decodeTraceTrailer(b []byte) (start, end int64, err error) {
 	return start, end, nil
 }
 
-// appendRequest appends one request record (the shared v2/v3 layout).
+// appendRequest appends one request record.
 func appendRequest(dst []byte, q request) []byte {
 	var hdr [reqHdrLen]byte
 	binary.LittleEndian.PutUint64(hdr[0:8], q.seq)
@@ -136,7 +134,7 @@ func appendRequest(dst []byte, q request) []byte {
 	return append(dst, q.val...)
 }
 
-// appendBatch appends a v3 batch frame carrying reqs. The caller must
+// appendBatch appends a batch frame carrying reqs. The caller must
 // have bounded the batch (see batchFits): count ≤ maxBatchOps and total
 // payload ≤ maxFrame.
 func appendBatch(dst []byte, reqs []request) []byte {
@@ -154,7 +152,7 @@ func appendBatch(dst []byte, reqs []request) []byte {
 	return dst
 }
 
-// decodeBatchPayload parses the payload of a v3 batch frame that
+// decodeBatchPayload parses the payload of a batch frame that
 // declared count records. It rejects trailing garbage, truncated
 // records, and length fields overrunning the payload; request key/value
 // slices alias b.
@@ -185,7 +183,7 @@ func decodeBatchPayload(b []byte, count int) ([]request, error) {
 	return reqs, nil
 }
 
-// readBatch reads one v3 batch frame: header, bounds checks, payload,
+// readBatch reads one batch frame: header, bounds checks, payload,
 // records. Returned request slices alias the returned payload buffer.
 func readBatch(r io.Reader) ([]request, error) {
 	var hdr [batchHdrLen]byte

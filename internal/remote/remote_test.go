@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -16,7 +17,7 @@ import (
 	"gadget/internal/replay"
 )
 
-func startPair(t *testing.T) (*Server, *Client, *memstore.Store) {
+func startPair(t *testing.T, opts PipelineOptions) (*Server, *PipelinedClient, *memstore.Store) {
 	t.Helper()
 	backing := memstore.New()
 	srv, err := Serve(backing, "127.0.0.1:0")
@@ -24,7 +25,7 @@ func startPair(t *testing.T) (*Server, *Client, *memstore.Store) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close(); backing.Close() })
-	cli, err := Dial(srv.Addr())
+	cli, err := DialPipeline(srv.Addr(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func startPair(t *testing.T) (*Server, *Client, *memstore.Store) {
 }
 
 func TestBasicOps(t *testing.T) {
-	_, cli, _ := startPair(t)
+	_, cli, _ := startPair(t, PipelineOptions{})
 	if _, err := cli.Get([]byte("a")); !errors.Is(err, kv.ErrNotFound) {
 		t.Fatalf("miss = %v", err)
 	}
@@ -58,7 +59,7 @@ func TestBasicOps(t *testing.T) {
 }
 
 func TestEmptyKeysAndValues(t *testing.T) {
-	_, cli, _ := startPair(t)
+	_, cli, _ := startPair(t, PipelineOptions{})
 	if err := cli.Put(nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestEmptyKeysAndValues(t *testing.T) {
 }
 
 func TestLargeValues(t *testing.T) {
-	_, cli, _ := startPair(t)
+	_, cli, _ := startPair(t, PipelineOptions{})
 	big := make([]byte, 1<<20)
 	for i := range big {
 		big[i] = byte(i)
@@ -88,13 +89,13 @@ func TestLargeValues(t *testing.T) {
 }
 
 func TestManyClients(t *testing.T) {
-	srv, _, _ := startPair(t)
+	srv, _, _ := startPair(t, PipelineOptions{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			cli, err := Dial(srv.Addr())
+			cli, err := DialPipeline(srv.Addr(), PipelineOptions{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -117,7 +118,10 @@ func TestManyClients(t *testing.T) {
 }
 
 func TestClientAfterClose(t *testing.T) {
-	_, cli, _ := startPair(t)
+	_, cli, _ := startPair(t, PipelineOptions{})
+	if err := cli.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
 	cli.Close()
 	if err := cli.Put([]byte("k"), nil); !errors.Is(err, kv.ErrClosed) {
 		t.Fatalf("Put after close = %v", err)
@@ -128,7 +132,7 @@ func TestClientAfterClose(t *testing.T) {
 }
 
 func TestServerCloseDisconnectsClients(t *testing.T) {
-	srv, cli, _ := startPair(t)
+	srv, cli, _ := startPair(t, PipelineOptions{})
 	srv.Close()
 	if err := cli.Put([]byte("k"), nil); err == nil {
 		t.Fatal("put after server close should fail")
@@ -143,7 +147,7 @@ func TestBackendErrorsPropagate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cli, err := Dial(srv.Addr())
+	cli, err := DialPipeline(srv.Addr(), PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +185,7 @@ func TestExternalStateWorkload(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cli, err := Dial(srv.Addr())
+			cli, err := DialPipeline(srv.Addr(), PipelineOptions{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -293,10 +297,13 @@ func TestClientSurvivesMidFrameDisconnect(t *testing.T) {
 	}
 	defer func() { srv.Close(); backing.Close() }()
 
-	// Budgets chosen to kill connections at assorted points: during the
-	// hello, mid-request-header, mid-payload, and mid-response.
-	cli, err := DialOptions(srv.Addr(), ClientOptions{
-		Dialer:  flakyDialer([]int{5, 20, 40, 70, 150}),
+	// Budgets chosen to kill connections at assorted points of the first
+	// Put (hello 13 bytes, batch header 8, request header 17, key and
+	// value 3 each, response header 13): during the hello, mid-header,
+	// mid-payload, and mid-response; the last connection dies after a
+	// few round trips.
+	cli, err := DialPipeline(srv.Addr(), PipelineOptions{
+		Dialer:  flakyDialer([]int{5, 25, 40, 50, 150}),
 		Redials: 6,
 	})
 	if err != nil {
@@ -313,10 +320,16 @@ func TestClientSurvivesMidFrameDisconnect(t *testing.T) {
 			t.Fatalf("Get %d = %q, %v", i, v, err)
 		}
 	}
+	// Four flaky connections got past the hello, plus the healthy one.
+	if d := cli.Metrics()["remote.dials"]; d < 5 {
+		t.Fatalf("dials = %d: the injected disconnects did not all fire", d)
+	}
 }
 
-// Reconnect replay must be exactly-once: merges driven through failing
-// connections appear in the backing store exactly once each.
+// Reconnect replay must be exactly-once: merges driven one at a time
+// through failing connections appear in the backing store exactly once
+// each. (TestPipelineReconnectExactlyOnceMerges covers concurrent
+// callers retransmitting whole batches.)
 func TestReconnectReplayExactlyOnceMerges(t *testing.T) {
 	backing := memstore.New()
 	srv, err := Serve(backing, "127.0.0.1:0")
@@ -331,7 +344,7 @@ func TestReconnectReplayExactlyOnceMerges(t *testing.T) {
 	for i := range budgets {
 		budgets[i] = 30 + 13*i%90
 	}
-	cli, err := DialOptions(srv.Addr(), ClientOptions{Dialer: flakyDialer(budgets), Redials: 8})
+	cli, err := DialPipeline(srv.Addr(), PipelineOptions{Dialer: flakyDialer(budgets), Redials: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +377,7 @@ func TestTransientStatusPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { srv.Close(); backing.Close() }()
-	cli, err := Dial(srv.Addr())
+	cli, err := DialPipeline(srv.Addr(), PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +407,7 @@ func TestServerPanicRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { srv.Close(); backing.Close() }()
-	cli, err := Dial(srv.Addr())
+	cli, err := DialPipeline(srv.Addr(), PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,10 +424,10 @@ func TestServerPanicRecovery(t *testing.T) {
 	}
 }
 
-// Oversized frames are refused symmetrically with a typed error, without
-// killing the connection on the client side.
+// Oversized requests are refused client-side with a typed error,
+// without disturbing the pipeline.
 func TestFrameTooLarge(t *testing.T) {
-	_, cli, _ := startPair(t)
+	_, cli, _ := startPair(t, PipelineOptions{})
 	big := make([]byte, maxFrame+1)
 	if err := cli.Put([]byte("k"), big); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized Put = %v, want ErrFrameTooLarge", err)
@@ -425,28 +438,84 @@ func TestFrameTooLarge(t *testing.T) {
 	}
 }
 
-// A v1/garbage client must be rejected without disturbing the server.
+// expectClosedSilently asserts the server closes raw without sending a
+// single byte.
+func expectClosedSilently(t *testing.T, raw net.Conn, what string) {
+	t.Helper()
+	raw.SetReadDeadline(time.Now().Add(2 * time.Second))
+	n, err := raw.Read(make([]byte, 16))
+	if n != 0 {
+		t.Fatalf("server answered %s with %d bytes", what, n)
+	}
+	if err != io.EOF {
+		t.Fatalf("server did not close the connection after %s: %v", what, err)
+	}
+}
+
+// A garbage client, and a well-formed hello for any version but 3
+// (protocol v2 is retired), must be closed without a reply and without
+// disturbing the server.
 func TestServerRejectsBadHello(t *testing.T) {
-	srv, cli, _ := startPair(t)
-	raw, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
+	srv, cli, _ := startPair(t, PipelineOptions{})
+	for _, tc := range []struct {
+		name  string
+		bytes []byte
+	}{
+		{"garbage hello", []byte("GET / HTTP/1.1\r\n\r\n garbage garbage")},
+		{"version-2 hello", appendRequest(appendHello(nil, 2, 7),
+			request{seq: 1, op: opPut, key: []byte("k"), val: []byte("v2")})},
+		{"traced version-2 hello", appendHello(nil, 2|helloTraceFlag, 8)},
+	} {
+		raw, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw.Write(tc.bytes)
+		expectClosedSilently(t, raw, "a "+tc.name)
+		raw.Close()
 	}
-	raw.Write([]byte("GET / HTTP/1.1\r\n\r\n garbage garbage"))
-	buf := make([]byte, 16)
-	raw.SetReadDeadline(time.Now().Add(time.Second))
-	if n, _ := raw.Read(buf); n != 0 {
-		t.Fatalf("server answered a bad hello with %d bytes", n)
+	// Real clients are unaffected, and the version-2 request was never
+	// applied.
+	if _, err := cli.Get([]byte("k")); !errors.Is(err, kv.ErrNotFound) {
+		t.Fatalf("version-2 request reached the store: %v", err)
 	}
-	raw.Close()
-	// Real clients are unaffected.
 	if err := cli.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// The client deadline turns a hung server connection into a transient,
-// outcome-unknown error instead of hanging forever.
+// A batch header declaring a payload over maxFrame cannot be read, so
+// the server drops the connection, counts it as oversized, and keeps
+// serving other clients.
+func TestServerDropsOversizedBatch(t *testing.T) {
+	srv, _, _ := startPair(t, PipelineOptions{})
+	before := srv.Metrics()["remote_server.oversized"]
+	raw, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	var hdr [batchHdrLen]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], 1)
+	binary.LittleEndian.PutUint32(hdr[4:8], maxFrame+1)
+	raw.Write(append(appendHello(nil, protoV3, 11), hdr[:]...))
+	expectClosedSilently(t, raw, "an oversized batch")
+	if got := srv.Metrics()["remote_server.oversized"] - before; got != 1 {
+		t.Fatalf("remote_server.oversized rose by %d, want 1", got)
+	}
+	fresh, err := DialPipeline(srv.Addr(), PipelineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if err := fresh.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatalf("server unusable after an oversized batch: %v", err)
+	}
+}
+
+// A server that swallows requests without answering: the read deadline
+// must fail pending ops with a transient, outcome-unknown error instead
+// of hanging all callers forever.
 func TestClientTimeout(t *testing.T) {
 	// A listener that accepts and then never answers (after the hello).
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -463,7 +532,7 @@ func TestClientTimeout(t *testing.T) {
 			go io.Copy(io.Discard, conn) // swallow everything, answer nothing
 		}
 	}()
-	cli, err := DialOptions(ln.Addr().String(), ClientOptions{Timeout: 20 * time.Millisecond, Redials: 1})
+	cli, err := DialPipeline(ln.Addr().String(), PipelineOptions{Timeout: 20 * time.Millisecond, Redials: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,32 +542,10 @@ func TestClientTimeout(t *testing.T) {
 	if err == nil {
 		t.Fatal("hung server should time out")
 	}
-	if time.Since(start) > 2*time.Second {
+	if time.Since(start) > 5*time.Second {
 		t.Fatalf("timeout too slow: %v", time.Since(start))
 	}
 	if !kv.Transient(err) || !kv.OutcomeUnknown(err) {
 		t.Fatalf("timeout misclassified: transient=%v unknown=%v (%v)", kv.Transient(err), kv.OutcomeUnknown(err), err)
-	}
-}
-
-func BenchmarkRemoteRoundTrip(b *testing.B) {
-	backing := memstore.New()
-	srv, err := Serve(backing, "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() { srv.Close(); backing.Close() }()
-	cli, err := Dial(srv.Addr())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cli.Close()
-	key := []byte("bench-key")
-	val := make([]byte, 256)
-	cli.Put(key, val)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cli.Get(key)
 	}
 }

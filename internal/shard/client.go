@@ -7,19 +7,21 @@ import (
 
 	"gadget/internal/kv"
 	"gadget/internal/remote"
+	"gadget/internal/tracing"
 )
 
 // Client is a kv.Store view of a sharded Server: one pipelined
-// protocol-v3 connection per shard. Point operations route by key hash;
+// connection per shard. Point operations route by key hash;
 // scans and snapshots fan out to every shard concurrently and merge the
 // sorted per-shard results. Safe for concurrent use — concurrency is in
 // fact the point: many callers sharing the client keep every shard's
 // pipeline full.
 type Client struct {
-	conns  []*remote.PipelinedClient
-	routed atomic.Uint64 // point ops routed by key hash
-	scans  atomic.Uint64 // fan-out range scans
-	snaps  atomic.Uint64 // fan-out snapshots
+	kv.Dispatch // Get/Put/Merge/Delete/ScanRange via DoTraced
+	conns       []*remote.PipelinedClient
+	routed      atomic.Uint64 // point ops routed by key hash
+	scans       atomic.Uint64 // fan-out range scans
+	snaps       atomic.Uint64 // fan-out snapshots
 }
 
 var _ kv.Store = (*Client)(nil)
@@ -31,6 +33,7 @@ func Dial(addrs []string, opts remote.PipelineOptions) (*Client, error) {
 		return nil, fmt.Errorf("shard: no addresses")
 	}
 	c := &Client{conns: make([]*remote.PipelinedClient, 0, len(addrs))}
+	c.Via = c
 	for i, addr := range addrs {
 		conn, err := remote.DialPipeline(addr, opts)
 		if err != nil {
@@ -58,41 +61,60 @@ func (c *Client) conn(key []byte) *remote.PipelinedClient {
 	return c.conns[Route(key, len(c.conns))]
 }
 
-// Get implements kv.Store.
-func (c *Client) Get(key []byte) ([]byte, error) { return c.conn(key).Get(key) }
+var _ kv.Traceable = (*Client)(nil)
 
-// Put implements kv.Store.
-func (c *Client) Put(key, value []byte) error { return c.conn(key).Put(key, value) }
-
-// Merge implements kv.Store.
-func (c *Client) Merge(key, operand []byte) error { return c.conn(key).Merge(key, operand) }
-
-// Delete implements kv.Store.
-func (c *Client) Delete(key []byte) error { return c.conn(key).Delete(key) }
-
-// ScanRange implements kv.RangeScanner: every shard scans [lo, hi]
-// concurrently against its own consistent view, and the sorted per-shard
-// results merge into one ascending run. Key ownership is disjoint across
-// shards, so the merge never sees duplicates.
-func (c *Client) ScanRange(lo, hi kv.StateKey) ([]kv.Entry, error) {
+// DoTraced implements kv.Traceable and, through the embedded
+// kv.Dispatch, the plain kv.Store point ops and ScanRange. Point
+// operations charge the route decision to StageRoute and then ride the
+// owning shard's pipeline. Scans fan out: every shard scans [lo, hi]
+// concurrently against its own consistent view, with untraced per-shard
+// calls (a pooled Ctx must not be shared across goroutines); the whole
+// fan-out wait is charged to StageFanout and the k-way merge of the
+// sorted per-shard results to StageMerge. Key ownership is disjoint
+// across shards, so the merge never sees duplicates.
+func (c *Client) DoTraced(tc *tracing.Ctx, op kv.TracedOp) (kv.TracedResult, error) {
+	if op.Op != kv.OpScan {
+		t0 := tc.Now()
+		conn := c.conn(op.Key)
+		tc.AddSince(tracing.StageRoute, t0)
+		return conn.DoTraced(tc, op)
+	}
 	c.scans.Add(1)
+	t0 := tc.Now()
 	parts := make([][]kv.Entry, len(c.conns))
+	err := c.fanout(func(i int, conn *remote.PipelinedClient) (err error) {
+		parts[i], err = conn.ScanRange(op.Lo, op.Hi)
+		return err
+	})
+	tc.AddSince(tracing.StageFanout, t0)
+	if err != nil {
+		return kv.TracedResult{}, err
+	}
+	tm := tc.Now()
+	merged := mergeSorted(parts)
+	tc.AddSince(tracing.StageMerge, tm)
+	return kv.TracedResult{Entries: merged}, nil
+}
+
+// fanout runs f against every shard concurrently and returns the first
+// shard's error, in shard order.
+func (c *Client) fanout(f func(i int, conn *remote.PipelinedClient) error) error {
 	errs := make([]error, len(c.conns))
 	var wg sync.WaitGroup
 	for i, conn := range c.conns {
 		wg.Add(1)
 		go func(i int, conn *remote.PipelinedClient) {
 			defer wg.Done()
-			parts[i], errs[i] = conn.ScanRange(lo, hi)
+			errs[i] = f(i, conn)
 		}(i, conn)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return mergeSorted(parts), nil
+	return nil
 }
 
 // mergeSorted merges ascending runs into one ascending run by repeated
@@ -144,25 +166,17 @@ func mergeSorted(parts [][]kv.Entry) []kv.Entry {
 func (c *Client) Snapshot() (kv.Snapshot, error) {
 	c.snaps.Add(1)
 	snaps := make([]kv.Snapshot, len(c.conns))
-	errs := make([]error, len(c.conns))
-	var wg sync.WaitGroup
-	for i, conn := range c.conns {
-		wg.Add(1)
-		go func(i int, conn *remote.PipelinedClient) {
-			defer wg.Done()
-			snaps[i], errs[i] = conn.Snapshot()
-		}(i, conn)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			for _, snap := range snaps {
-				if snap != nil {
-					snap.Close()
-				}
+	err := c.fanout(func(i int, conn *remote.PipelinedClient) (err error) {
+		snaps[i], err = conn.Snapshot()
+		return err
+	})
+	if err != nil {
+		for _, snap := range snaps {
+			if snap != nil {
+				snap.Close()
 			}
-			return nil, err
 		}
+		return nil, err
 	}
 	return &shardSnapshot{snaps: snaps}, nil
 }

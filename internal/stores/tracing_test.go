@@ -112,6 +112,35 @@ func TestTracedStageSumCoversServiceLatency(t *testing.T) {
 	}
 }
 
+// A bare single address with Traced set must open a client that
+// negotiates trace trailers, so a traced op attributes its wire and
+// server stages instead of charging the whole round trip to the engine.
+func TestTracedSingleAddrRemoteAttributesWireAndServer(t *testing.T) {
+	backing := &slowStore{Store: memstore.New(), d: 200 * time.Microsecond}
+	defer backing.Close()
+	srv, err := remote.Serve(backing, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := Open(Config{Engine: "remote", Addr: srv.Addr(), Traced: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	tr := tracing.New(tracing.Options{SampleN: 1})
+	tc := tr.Start(uint8(kv.OpPut))
+	defer tr.Finish(tc)
+	if _, err := kv.DoTraced(cli, tc, kv.TracedOp{Op: kv.OpPut, Key: []byte("k"), Val: []byte("v")}); err != nil {
+		t.Fatal(err)
+	}
+	if tc.Dur(tracing.StageWire) <= 0 || tc.Dur(tracing.StageServer) <= 0 {
+		t.Fatalf("%T: wire=%d server=%d engine=%d, want wire and server stages attributed",
+			cli, tc.Dur(tracing.StageWire), tc.Dur(tracing.StageServer), tc.Dur(tracing.StageEngine))
+	}
+}
+
 // TestTracedReconnectExactlyOnce replays the connection-killing-dialer
 // scenario with tracing enabled on every op: requests answered from the
 // server's replay window after a reconnect must complete their trace
