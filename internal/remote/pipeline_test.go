@@ -3,6 +3,7 @@ package remote
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -13,6 +14,7 @@ import (
 
 	"gadget/internal/kv"
 	"gadget/internal/memstore"
+	"gadget/internal/tracing"
 )
 
 // Many goroutines sharing one pipelined client: all ops must complete
@@ -298,6 +300,160 @@ func TestPipelineDepthOne(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// The tests below drive the traced envelope (DoTraced with a live trace
+// context over a connection that negotiated trace trailers), the path
+// an obs.trace run takes; the plain-op tests in remote_test.go cover
+// the same behaviour through kv.Dispatch with a nil context.
+
+// tracedCall runs one op through DoTraced under a fresh every-op
+// tracer and returns the result, the error, and the stage sum the
+// client stamped on the trace.
+func tracedCall(c *PipelinedClient, op kv.TracedOp) (kv.TracedResult, int64, error) {
+	tr := tracing.New(tracing.Options{SampleN: 1})
+	tc := tr.Start(uint8(op.Op))
+	defer tr.Finish(tc)
+	res, err := c.DoTraced(tc, op)
+	return res, tc.StageSum(), err
+}
+
+func TestPipelineBasicOps(t *testing.T) {
+	_, cli, _ := startPair(t, PipelineOptions{Traced: true})
+	key := []byte("a")
+	get := kv.TracedOp{Op: kv.OpGet, Key: key}
+	steps := []struct {
+		op   kv.TracedOp
+		want string
+		miss bool
+	}{
+		{op: get, miss: true},
+		{op: kv.TracedOp{Op: kv.OpPut, Key: key, Val: []byte("1")}},
+		{op: get, want: "1"},
+		{op: kv.TracedOp{Op: kv.OpMerge, Key: key, Val: []byte("2")}},
+		{op: get, want: "12"},
+		{op: kv.TracedOp{Op: kv.OpDelete, Key: key}},
+		{op: get, miss: true},
+	}
+	for i, s := range steps {
+		res, stages, err := tracedCall(cli, s.op)
+		switch {
+		case s.miss && !errors.Is(err, kv.ErrNotFound):
+			t.Fatalf("step %d (%v): want ErrNotFound, got %v", i, s.op.Op, err)
+		case !s.miss && err != nil:
+			t.Fatalf("step %d (%v): %v", i, s.op.Op, err)
+		case string(res.Val) != s.want:
+			t.Fatalf("step %d (%v) = %q, want %q", i, s.op.Op, res.Val, s.want)
+		}
+		if stages <= 0 {
+			t.Fatalf("step %d (%v): no queue/wire/server time stamped on the trace", i, s.op.Op)
+		}
+	}
+}
+
+// Oversized requests are refused client-side with a typed error before
+// they enter the pipeline, so the trace stays empty and the pipeline
+// keeps working.
+func TestPipelineFrameTooLarge(t *testing.T) {
+	_, cli, _ := startPair(t, PipelineOptions{Traced: true})
+	big := make([]byte, maxFrame+1)
+	_, stages, err := tracedCall(cli, kv.TracedOp{Op: kv.OpMerge, Key: []byte("k"), Val: big})
+	if !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized Merge = %v, want ErrFrameTooLarge", err)
+	}
+	if stages != 0 {
+		t.Fatalf("refused frame charged %dns to the trace", stages)
+	}
+	if _, _, err := tracedCall(cli, kv.TracedOp{Op: kv.OpPut, Key: []byte("k"), Val: []byte("v")}); err != nil {
+		t.Fatalf("pipeline unusable after refused frame: %v", err)
+	}
+}
+
+func TestPipelineClientAfterClose(t *testing.T) {
+	_, cli, _ := startPair(t, PipelineOptions{Traced: true})
+	put := kv.TracedOp{Op: kv.OpPut, Key: []byte("k"), Val: []byte("v")}
+	if _, _, err := tracedCall(cli, put); err != nil {
+		t.Fatal(err)
+	}
+	cli.Close()
+	if _, _, err := tracedCall(cli, put); !errors.Is(err, kv.ErrClosed) {
+		t.Fatalf("traced Put after close = %v", err)
+	}
+	if _, _, err := tracedCall(cli, kv.TracedOp{Op: kv.OpScan, Hi: kv.MaxStateKey}); !errors.Is(err, kv.ErrClosed) {
+		t.Fatalf("traced scan after close = %v", err)
+	}
+	if err := cli.Close(); err != nil {
+		t.Fatalf("double close = %v", err)
+	}
+}
+
+// A server that swallows requests without answering: the read deadline
+// must fail a traced op with a transient, outcome-unknown error, and
+// the time it spent waiting must show on its trace.
+func TestPipelineTimeout(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go io.Copy(io.Discard, conn)
+		}
+	}()
+	cli, err := DialPipeline(ln.Addr().String(), PipelineOptions{
+		Timeout: 20 * time.Millisecond,
+		Redials: 1,
+		Traced:  true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	start := time.Now()
+	_, stages, err := tracedCall(cli, kv.TracedOp{Op: kv.OpPut, Key: []byte("k"), Val: []byte("v")})
+	if err == nil {
+		t.Fatal("hung server should time out")
+	}
+	if time.Since(start) > 5*time.Second {
+		t.Fatalf("timeout too slow: %v", time.Since(start))
+	}
+	if !kv.Transient(err) || !kv.OutcomeUnknown(err) {
+		t.Fatalf("timeout misclassified: transient=%v unknown=%v (%v)", kv.Transient(err), kv.OutcomeUnknown(err), err)
+	}
+	if stages <= 0 {
+		t.Fatal("timed-out op left no time on its trace")
+	}
+}
+
+// A backend panic fails only its own request: on a traced connection
+// the error response still carries its trailer, so the frames after it
+// parse and succeed.
+func TestPipelineServerPanicRecovery(t *testing.T) {
+	backing := &panicStore{memstore.New()}
+	srv, err := Serve(backing, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { srv.Close(); backing.Close() }()
+	cli, err := DialPipeline(srv.Addr(), PipelineOptions{Traced: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if _, _, err := tracedCall(cli, kv.TracedOp{Op: kv.OpMerge, Key: []byte("k"), Val: []byte("x")}); err == nil {
+		t.Fatal("panicking op should error")
+	}
+	if _, _, err := tracedCall(cli, kv.TracedOp{Op: kv.OpPut, Key: []byte("k"), Val: []byte("v")}); err != nil {
+		t.Fatalf("connection poisoned by panic: %v", err)
+	}
+	if res, _, err := tracedCall(cli, kv.TracedOp{Op: kv.OpGet, Key: []byte("k")}); err != nil || string(res.Val) != "v" {
+		t.Fatalf("Get = %q, %v", res.Val, err)
+	}
 }
 
 func BenchmarkPipelinedRoundTrip(b *testing.B) {
