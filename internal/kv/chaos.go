@@ -169,6 +169,24 @@ func (s *ChaosStore) admit(tc *tracing.Ctx) error {
 	return nil
 }
 
+// sleepTraced sleeps for d, charging it to stage s of tc.
+func sleepTraced(tc *tracing.Ctx, s tracing.Stage, d time.Duration) {
+	tc.Add(s, int64(d))
+	time.Sleep(d)
+}
+
+// DoTraced implements Traceable for the chaos wrapper: the injected
+// delay is stamped as StageChaos, then the op descends to the inner
+// store. Injected errors fail before the inner call.
+func (s *ChaosStore) DoTraced(tc *tracing.Ctx, op TracedOp) (TracedResult, error) {
+	if err := s.admit(tc); err != nil {
+		return TracedResult{}, err
+	}
+	return descend(s.inner, tc, &op)
+}
+
+var _ Traceable = (*ChaosStore)(nil)
+
 // Snapshot implements Snapshotter when the wrapped store does. Acquiring
 // the snapshot runs the fault lottery once; afterwards every iterator
 // step runs it again, so a long drain through a chaotic store can fail

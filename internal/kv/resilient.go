@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -273,6 +274,74 @@ func (r *ResilientStore) attempt(f func() error) error {
 		r.timeouts.Add(1)
 		return fmt.Errorf("%w after %v", ErrDeadlineExceeded, r.opts.OpTimeout)
 	}
+}
+
+// contractOK reports whether err is a contract outcome (success, miss,
+// unsupported merge) rather than a failure: the retry budget and the
+// breaker count only failures.
+func contractOK(err error) bool {
+	return err == nil || errors.Is(err, ErrNotFound) || errors.Is(err, ErrMergeUnsupported)
+}
+
+// DoTraced implements Traceable for the resilient wrapper. With no
+// per-op deadline, the breaker closed and no failure streak in progress
+// (fastOK), a first attempt that succeeds needs no bookkeeping at all,
+// which keeps the happy path to two atomic loads. Anything else runs
+// the one retry/breaker loop, retry, where backoff sleeps are stamped
+// as StageRetry and each retry bumps the Ctx attempt counter.
+func (r *ResilientStore) DoTraced(tc *tracing.Ctx, op TracedOp) (TracedResult, error) {
+	var res TracedResult
+	var err error
+	if r.fastOK() {
+		if res, err = descend(r.inner, tc, &op); contractOK(err) {
+			return res, err
+		}
+	}
+	err = r.retry(tc, op.Op, err, func() (err error) {
+		res, err = r.tracedAttempt(tc, op)
+		return err
+	})
+	if !contractOK(err) {
+		return TracedResult{}, err
+	}
+	return res, err
+}
+
+var _ Traceable = (*ResilientStore)(nil)
+
+// tracedAttempt runs one attempt. Without a per-op deadline the inner
+// call runs in the caller's goroutine. With one, the attempt may be
+// abandoned mid-flight, so the Ctx must not cross into the attempt
+// goroutine — an abandoned attempt stamping a pooled Ctx after Finish
+// would corrupt a reused trace. Instead the whole attempt is timed from
+// the parent and charged to StageEngine (the inner breakdown is lost
+// under OpTimeout; the stage sum stays intact). The result is published
+// under a mutex because the abandoned attempt may still complete late.
+func (r *ResilientStore) tracedAttempt(tc *tracing.Ctx, op TracedOp) (TracedResult, error) {
+	if r.opts.OpTimeout <= 0 {
+		return DoTraced(r.inner, tc, op)
+	}
+	var mu sync.Mutex
+	var res TracedResult
+	t0 := tc.Now()
+	err := r.attempt(func() error {
+		inner, err := DoTraced(r.inner, nil, op)
+		if err == nil {
+			mu.Lock()
+			if res.Val == nil && res.Entries == nil {
+				res = inner
+			}
+			mu.Unlock()
+		}
+		return err
+	})
+	tc.AddSince(tracing.StageEngine, t0)
+	if err != nil {
+		return TracedResult{}, err
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	return res, nil
 }
 
 // retry is the one resilience loop, shared by every operation and by

@@ -542,7 +542,7 @@ func TestClientTimeout(t *testing.T) {
 	if err == nil {
 		t.Fatal("hung server should time out")
 	}
-	if time.Since(start) > 5*time.Second {
+	if time.Since(start) > 2*time.Second {
 		t.Fatalf("timeout too slow: %v", time.Since(start))
 	}
 	if !kv.Transient(err) || !kv.OutcomeUnknown(err) {

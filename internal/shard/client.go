@@ -11,9 +11,9 @@ import (
 )
 
 // Client is a kv.Store view of a sharded Server: one pipelined
-// connection per shard. Point operations route by key hash;
-// scans and snapshots fan out to every shard concurrently and merge the
-// sorted per-shard results. Safe for concurrent use — concurrency is in
+// connection per shard. Point operations route by key hash; scans and
+// snapshots fan out to every shard concurrently and merge the sorted
+// per-shard results. Safe for concurrent use — concurrency is in
 // fact the point: many callers sharing the client keep every shard's
 // pipeline full.
 type Client struct {
@@ -22,6 +22,7 @@ type Client struct {
 	routed      atomic.Uint64 // point ops routed by key hash
 	scans       atomic.Uint64 // fan-out range scans
 	snaps       atomic.Uint64 // fan-out snapshots
+	iterOps     atomic.Int64  // entries stepped through snapshot iterators
 }
 
 var _ kv.Store = (*Client)(nil)
@@ -66,12 +67,7 @@ var _ kv.Traceable = (*Client)(nil)
 // DoTraced implements kv.Traceable and, through the embedded
 // kv.Dispatch, the plain kv.Store point ops and ScanRange. Point
 // operations charge the route decision to StageRoute and then ride the
-// owning shard's pipeline. Scans fan out: every shard scans [lo, hi]
-// concurrently against its own consistent view, with untraced per-shard
-// calls (a pooled Ctx must not be shared across goroutines); the whole
-// fan-out wait is charged to StageFanout and the k-way merge of the
-// sorted per-shard results to StageMerge. Key ownership is disjoint
-// across shards, so the merge never sees duplicates.
+// owning shard's pipeline; scans fan out (see scan).
 func (c *Client) DoTraced(tc *tracing.Ctx, op kv.TracedOp) (kv.TracedResult, error) {
 	if op.Op != kv.OpScan {
 		t0 := tc.Now()
@@ -80,41 +76,40 @@ func (c *Client) DoTraced(tc *tracing.Ctx, op kv.TracedOp) (kv.TracedResult, err
 		return conn.DoTraced(tc, op)
 	}
 	c.scans.Add(1)
-	t0 := tc.Now()
-	parts := make([][]kv.Entry, len(c.conns))
-	err := c.fanout(func(i int, conn *remote.PipelinedClient) (err error) {
-		parts[i], err = conn.ScanRange(op.Lo, op.Hi)
-		return err
-	})
-	tc.AddSince(tracing.StageFanout, t0)
-	if err != nil {
-		return kv.TracedResult{}, err
-	}
-	tm := tc.Now()
-	merged := mergeSorted(parts)
-	tc.AddSince(tracing.StageMerge, tm)
-	return kv.TracedResult{Entries: merged}, nil
+	ents, err := c.scan(tc, op.Lo, op.Hi)
+	return kv.TracedResult{Entries: ents}, err
 }
 
-// fanout runs f against every shard concurrently and returns the first
-// shard's error, in shard order.
-func (c *Client) fanout(f func(i int, conn *remote.PipelinedClient) error) error {
+// scan is the one fan-out: every shard scans [lo, hi] concurrently
+// against its own consistent view, with untraced per-shard calls (a
+// pooled Ctx must not be shared across goroutines). The whole fan-out
+// wait is charged to StageFanout and the k-way merge of the sorted
+// per-shard results to StageMerge. Key ownership is disjoint across
+// shards, so the merge never sees duplicates. The first shard error, in
+// shard order, fails the scan.
+func (c *Client) scan(tc *tracing.Ctx, lo, hi kv.StateKey) ([]kv.Entry, error) {
+	t0 := tc.Now()
+	parts := make([][]kv.Entry, len(c.conns))
 	errs := make([]error, len(c.conns))
 	var wg sync.WaitGroup
 	for i, conn := range c.conns {
 		wg.Add(1)
 		go func(i int, conn *remote.PipelinedClient) {
 			defer wg.Done()
-			errs[i] = f(i, conn)
+			parts[i], errs[i] = conn.ScanRange(lo, hi)
 		}(i, conn)
 	}
 	wg.Wait()
+	tc.AddSince(tracing.StageFanout, t0)
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	tm := tc.Now()
+	merged := mergeSorted(parts)
+	tc.AddSince(tracing.StageMerge, tm)
+	return merged, nil
 }
 
 // mergeSorted merges ascending runs into one ascending run by repeated
@@ -157,28 +152,19 @@ func mergeSorted(parts [][]kv.Entry) []kv.Entry {
 	return out
 }
 
-// Snapshot implements kv.Snapshotter: every shard materializes its
-// fallback snapshot concurrently, and the results compose into one view
-// whose Get routes by key hash and whose Iter is a k-way merge over the
-// per-shard iterators. The composite is per-shard consistent (each
-// shard's half is a true point-in-time view of that shard), not a global
-// cut — see the package comment.
+// Snapshot implements kv.Snapshotter with the scan fan-out: the merged
+// full-range scan is sealed into one kv.FallbackSnapshot. It is
+// per-shard consistent (each shard's part is a point-in-time view of
+// that shard), not a global cut — see the package comment.
 func (c *Client) Snapshot() (kv.Snapshot, error) {
-	c.snaps.Add(1)
-	snaps := make([]kv.Snapshot, len(c.conns))
-	err := c.fanout(func(i int, conn *remote.PipelinedClient) (err error) {
-		snaps[i], err = conn.Snapshot()
-		return err
-	})
+	entries, err := c.scan(nil, kv.StateKey{}, kv.MaxStateKey)
 	if err != nil {
-		for _, snap := range snaps {
-			if snap != nil {
-				snap.Close()
-			}
-		}
 		return nil, err
 	}
-	return &shardSnapshot{snaps: snaps}, nil
+	c.snaps.Add(1)
+	snap := kv.NewFallbackSnapshot(entries)
+	snap.CountIterOps(&c.iterOps)
+	return snap, nil
 }
 
 // Metrics implements kv.Introspector: the per-shard connection counters
@@ -190,6 +176,7 @@ func (c *Client) Metrics() map[string]int64 {
 		"shard.routed":    int64(c.routed.Load()),
 		"shard.scans":     int64(c.scans.Load()),
 		"shard.snapshots": int64(c.snaps.Load()),
+		"shard.iter_ops":  c.iterOps.Load(),
 	}
 	for _, conn := range c.conns {
 		for k, v := range conn.Metrics() {
@@ -204,94 +191,6 @@ func (c *Client) Close() error {
 	var first error
 	for _, conn := range c.conns {
 		if err := conn.Close(); first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// shardSnapshot composes per-shard snapshots into one kv.Snapshot.
-type shardSnapshot struct {
-	snaps []kv.Snapshot
-}
-
-func (s *shardSnapshot) Get(key []byte) ([]byte, error) {
-	return s.snaps[Route(key, len(s.snaps))].Get(key)
-}
-
-func (s *shardSnapshot) Iter(lo, hi kv.StateKey) kv.Iterator {
-	its := make([]kv.Iterator, len(s.snaps))
-	for i, snap := range s.snaps {
-		its[i] = snap.Iter(lo, hi)
-	}
-	return &mergeIter{its: its, has: make([]bool, len(its)), cur: -1}
-}
-
-func (s *shardSnapshot) Close() error {
-	var first error
-	for _, snap := range s.snaps {
-		if err := snap.Close(); first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// mergeIter is a k-way merge over per-shard iterators, each already in
-// ascending key order. The current entry stays parked on its source
-// iterator (Key/Value delegate to it) and is only advanced on the next
-// Next call, respecting the Iterator contract that values live until the
-// owning iterator advances.
-type mergeIter struct {
-	its  []kv.Iterator
-	has  []bool
-	cur  int // iterator holding the current entry; -1 before the first Next
-	err  error
-	done bool
-}
-
-func (m *mergeIter) Next() bool {
-	if m.done || m.err != nil {
-		return false
-	}
-	if m.cur < 0 {
-		for i, it := range m.its {
-			m.has[i] = it.Next()
-			if err := it.Err(); err != nil {
-				m.err = err
-				return false
-			}
-		}
-	} else {
-		m.has[m.cur] = m.its[m.cur].Next()
-		if err := m.its[m.cur].Err(); err != nil {
-			m.err = err
-			return false
-		}
-	}
-	best := -1
-	for i := range m.its {
-		if m.has[i] && (best < 0 || m.its[i].Key().Less(m.its[best].Key())) {
-			best = i
-		}
-	}
-	if best < 0 {
-		m.done = true
-		return false
-	}
-	m.cur = best
-	return true
-}
-
-func (m *mergeIter) Key() kv.StateKey { return m.its[m.cur].Key() }
-func (m *mergeIter) Value() []byte    { return m.its[m.cur].Value() }
-func (m *mergeIter) Err() error       { return m.err }
-
-func (m *mergeIter) Close() error {
-	m.done = true
-	var first error
-	for _, it := range m.its {
-		if err := it.Close(); first == nil {
 			first = err
 		}
 	}

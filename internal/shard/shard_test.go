@@ -143,8 +143,8 @@ func TestShardScanMerge(t *testing.T) {
 	}
 }
 
-// The composite snapshot must expose a merged, ordered iterator and
-// hash-routed Gets, and stay blind to writes issued after it was taken.
+// The fan-out snapshot must expose a merged, ordered iterator and point
+// Gets, and stay blind to writes issued after it was taken.
 func TestShardSnapshotMergedIter(t *testing.T) {
 	_, cli, _ := startCluster(t, 3, remote.PipelineOptions{})
 	for s := uint64(0); s < 50; s++ {
@@ -175,6 +175,10 @@ func TestShardSnapshotMergedIter(t *testing.T) {
 	}
 	if len(entries) != 50 {
 		t.Fatalf("snapshot iter = %d entries, want 50", len(entries))
+	}
+	// iter_ops counts Next calls: one per entry plus the final one.
+	if m := cli.Metrics(); m["shard.snapshots"] != 1 || m["shard.iter_ops"] != 51 {
+		t.Fatalf("snapshot counters: snapshots=%d iter_ops=%d, want 1 and 51", m["shard.snapshots"], m["shard.iter_ops"])
 	}
 	for i, e := range entries {
 		if e.Key != (kv.StateKey{Group: 7, Sub: uint64(i)}) {
