@@ -18,9 +18,8 @@ import (
 
 // PipelineOptions tunes a PipelinedClient.
 type PipelineOptions struct {
-	// Timeout bounds transport progress: each write of queued batches,
-	// and the wait for the next response while requests are in flight
-	// (0 = none).
+	// Timeout bounds transport progress: each batch write, and the wait
+	// for the next response while requests are in flight (0 = none).
 	Timeout time.Duration
 	// Redials is how many consecutive failed reconnect attempts (or
 	// connections that die without delivering a single response) the
@@ -78,12 +77,14 @@ type presult struct {
 // delivering goroutine never blocks on a caller.
 //
 // tc/enq/flushed carry trace state across the pipeline's goroutines;
-// every hand-off happens under c.mu (cut, takeCall, requeueInflight),
-// which provides the happens-before edges the unsynchronized Ctx
-// requires.
+// every hand-off happens under c.mu (takeBatch, takeCall,
+// requeueInflight), which provides the happens-before edges the
+// unsynchronized Ctx requires.
 type pcall struct {
-	request
-	done chan presult
+	seq      uint64
+	op       byte
+	key, val []byte
+	done     chan presult
 
 	tc      *tracing.Ctx // nil for untraced operations
 	enq     int64        // tracer clock at enqueue (queue-stage start)
@@ -97,9 +98,7 @@ type pcall struct {
 // the server produces them, matched by sequence number. A single caller
 // still observes synchronous kv.Store semantics — the pipeline fills
 // only when multiple goroutines share the client, which is exactly the
-// shard.Client deployment shape. A caller that finds the pipeline idle
-// writes its own request and reads its own response, as a lockstep
-// client would, with no goroutine hand-off.
+// shard.Client deployment shape.
 //
 // Transport failures do not poison the client: the connection is
 // re-dialed under the same session ID and every unanswered request is
@@ -115,13 +114,7 @@ type PipelinedClient struct {
 	seq      uint64
 	queue    []*pcall          // accepted, not yet written; ascending seq
 	inflight map[uint64]*pcall // written on the live conn, awaiting response
-	live     *pconn            // the serving connection; nil while redialing
 	closed   bool
-
-	// wmu serializes batch writes: the writer loop's, and an idle-path
-	// caller's. Holding it from sequence assignment or batch cut to the
-	// flush keeps sequence numbers ascending on the wire.
-	wmu sync.Mutex
 
 	slots    chan struct{} // pipeline window semaphore (capacity Depth)
 	kick     chan struct{} // wake the writer: queue became non-empty
@@ -268,7 +261,7 @@ func (c *PipelinedClient) loop(conn net.Conn) {
 			strikes = 0
 		}
 	}
-	c.drainPending(presult{status: statusError, err: kv.ErrClosed}, false)
+	c.failAll(kv.ErrClosed)
 }
 
 // waitWork blocks until the queue is non-empty or the client closes.
@@ -310,163 +303,112 @@ func (c *PipelinedClient) isClosed() bool {
 	}
 }
 
-// pconn is one live connection. The right to read its responses, the
-// reader role, is held by one goroutine at a time: the connection's
-// background reader while requests are in flight, or an idle-path
-// caller reading its own response (see roundTrip).
-type pconn struct {
-	conn    net.Conn
-	r       *bufio.Reader
-	buf     []byte        // encoded batches awaiting flush; guarded by c.wmu
-	reqs    []request     // batch encoding scratch; guarded by c.wmu
-	reading bool          // reader role taken; guarded by c.mu
-	got     atomic.Bool   // at least one response delivered
-	wake    chan struct{} // capacity 1: requests went in flight
-	dead    chan struct{} // closed once the transport fails
-	once    sync.Once
-}
-
-func (pc *pconn) fail() { pc.once.Do(func() { close(pc.dead) }) }
-
-func (pc *pconn) kick() {
-	select {
-	case pc.wake <- struct{}{}:
-	default:
-	}
-}
-
-// serveConn runs one connection: whoever holds the reader role
-// completes responses by sequence number while this goroutine packs the
-// queue into batch frames. Returns once the transport breaks or the
-// client closes, reporting whether at least one response was
-// delivered; unanswered requests are back in the queue when it returns.
+// serveConn runs one connection: a reader goroutine completes responses
+// by sequence number while this goroutine packs the queue into batch
+// frames. Returns once the transport breaks or the client closes,
+// reporting whether at least one response was delivered; unanswered
+// requests are back in the queue when it returns.
 func (c *PipelinedClient) serveConn(conn net.Conn) bool {
-	pc := &pconn{
-		conn: conn,
-		r:    bufio.NewReaderSize(conn, 256<<10),
-		wake: make(chan struct{}, 1),
-		dead: make(chan struct{}),
-	}
-	c.mu.Lock()
-	c.live = pc
-	c.mu.Unlock()
-	readDone := make(chan struct{})
-	go func() {
-		defer close(readDone)
-		c.readLoop(pc)
-	}()
-	c.writeLoop(pc)
-	pc.fail()
-	conn.Close()
-	<-readDone
-	c.mu.Lock()
-	c.live = nil
-	c.requeueInflight()
-	c.mu.Unlock()
-	return pc.got.Load()
-}
+	defer conn.Close()
+	w := bufio.NewWriterSize(conn, 256<<10)
+	connErr := make(chan error, 1)
+	var got atomic.Bool
+	go c.readLoop(conn, &got, connErr)
 
-// writeLoop retransmits whatever a previous connection left unanswered,
-// plus anything that queued while reconnecting, then writes the queue
-// each time a caller kicks it, until the transport breaks or the client
-// closes.
-func (c *PipelinedClient) writeLoop(pc *pconn) {
-	for c.writeBatches(pc) == nil {
-		select {
-		case <-c.closeCh:
-			return
-		case <-pc.dead:
-			return
-		case <-c.kick:
-		}
+	// Retransmit whatever a previous connection left unanswered, plus
+	// anything that queued while reconnecting.
+	if err := c.writeBatches(w, conn); err != nil {
+		c.requeueInflight()
+		return got.Load()
 	}
-}
-
-// readLoop is the connection's background reader: whenever requests
-// are in flight and no caller holds the reader role, it takes the role
-// and completes responses until the in-flight table drains.
-func (c *PipelinedClient) readLoop(pc *pconn) {
 	for {
 		select {
-		case <-pc.dead:
-			return
-		case <-pc.wake:
+		case <-c.closeCh:
+			c.requeueInflight()
+			return got.Load()
+		case <-connErr:
+			c.requeueInflight()
+			return got.Load()
+		case <-c.kick:
 		}
-		c.mu.Lock()
-		claim := !pc.reading && len(c.inflight) > 0
-		pc.reading = pc.reading || claim
-		c.mu.Unlock()
-		for claim {
-			if _, err := c.readFrame(pc); err != nil {
-				pc.fail()
-				return
-			}
-			c.mu.Lock()
-			claim = len(c.inflight) > 0
-			pc.reading = claim
-			c.mu.Unlock()
+		if err := c.writeBatches(w, conn); err != nil {
+			c.requeueInflight()
+			return got.Load()
 		}
 	}
 }
 
-// readFrame reads one sequence-tagged response and completes the
-// matching in-flight request, which it returns (nil when the sequence
-// number is unknown: already requeued for retransmission, or a
-// duplicate completion). The caller must hold the reader role.
-func (c *PipelinedClient) readFrame(pc *pconn) (*pcall, error) {
-	if c.opts.Timeout > 0 {
-		pc.conn.SetReadDeadline(time.Now().Add(c.opts.Timeout))
-	}
+// readLoop completes in-flight requests from sequence-tagged responses,
+// in whatever order the server sends them.
+func (c *PipelinedClient) readLoop(conn net.Conn, got *atomic.Bool, connErr chan<- error) {
+	r := bufio.NewReaderSize(conn, 256<<10)
 	var hdr [rsp3HdrLen]byte
-	if _, err := io.ReadFull(pc.r, hdr[:]); err != nil {
-		return nil, err
-	}
-	seq := binary.LittleEndian.Uint64(hdr[0:8])
-	status := hdr[8]
-	n := binary.LittleEndian.Uint32(hdr[9:13])
-	if n > maxFrame {
-		// Protocol violation; fail the addressed request outright (no
-		// replay: the response would be oversized again) and drop the
-		// connection.
-		if call := c.takeCall(seq); call != nil {
-			call.done <- presult{err: fmt.Errorf("%w: %d-byte response", ErrFrameTooLarge, n)}
+	for {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			connErr <- err
+			return
 		}
-		return nil, ErrFrameTooLarge
-	}
-	out := make([]byte, n)
-	if _, err := io.ReadFull(pc.r, out); err != nil {
-		return nil, err
-	}
-	// On a traced connection every response carries the fixed trace
-	// trailer, whether or not the matching call is traced.
-	var tStart, tEnd int64
-	if c.opts.Traced {
-		var tr [traceTrailerLen]byte
-		if _, err := io.ReadFull(pc.r, tr[:]); err != nil {
-			return nil, err
+		seq := binary.LittleEndian.Uint64(hdr[0:8])
+		status := hdr[8]
+		n := binary.LittleEndian.Uint32(hdr[9:13])
+		if n > maxFrame {
+			// Protocol violation; fail the addressed request outright (no
+			// replay: the response would be oversized again) and drop the
+			// connection.
+			if call := c.takeCall(seq); call != nil {
+				call.done <- presult{err: fmt.Errorf("%w: %d-byte response", ErrFrameTooLarge, n)}
+			}
+			connErr <- ErrFrameTooLarge
+			return
 		}
-		var err error
-		if tStart, tEnd, err = decodeTraceTrailer(tr[:]); err != nil {
-			return nil, err
+		out := make([]byte, n)
+		if _, err := io.ReadFull(r, out); err != nil {
+			connErr <- err
+			return
+		}
+		// On a traced connection every response carries the fixed trace
+		// trailer, whether or not the matching call is traced.
+		var tStart, tEnd int64
+		if c.opts.Traced {
+			var tr [traceTrailerLen]byte
+			if _, err := io.ReadFull(r, tr[:]); err != nil {
+				connErr <- err
+				return
+			}
+			var derr error
+			if tStart, tEnd, derr = decodeTraceTrailer(tr[:]); derr != nil {
+				connErr <- derr
+				return
+			}
+		}
+		call := c.takeCall(seq)
+		if call != nil {
+			if call.tc != nil {
+				// The server's handle window is subtracted from the
+				// flush→delivery window so wire and server stay disjoint.
+				serverDur := tEnd - tStart
+				call.tc.Add(tracing.StageServer, serverDur)
+				call.tc.Add(tracing.StageWire, call.tc.Now()-call.flushed-serverDur)
+			}
+			got.Store(true)
+			call.done <- presult{status: status, out: out}
+		}
+		if c.opts.Timeout > 0 {
+			c.mu.Lock()
+			pending := len(c.inflight)
+			c.mu.Unlock()
+			if pending > 0 {
+				conn.SetReadDeadline(time.Now().Add(c.opts.Timeout))
+			} else {
+				conn.SetReadDeadline(time.Time{})
+			}
 		}
 	}
-	call := c.takeCall(seq)
-	if call != nil {
-		if call.tc != nil {
-			// The server's handle window is subtracted from the
-			// flush→delivery window so wire and server stay disjoint.
-			serverDur := tEnd - tStart
-			call.tc.Add(tracing.StageServer, serverDur)
-			call.tc.Add(tracing.StageWire, call.tc.Now()-call.flushed-serverDur)
-		}
-		pc.got.Store(true)
-		call.done <- presult{status: status, out: out}
-	}
-	return call, nil
 }
 
 // takeCall removes and returns the in-flight request for seq, or nil
-// when seq is unknown.
+// when seq is unknown (already requeued for retransmission, or a
+// duplicate completion).
 func (c *PipelinedClient) takeCall(seq uint64) *pcall {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -478,66 +420,64 @@ func (c *PipelinedClient) takeCall(seq uint64) *pcall {
 	return call
 }
 
-// writeBatches drains the queue into batch frames, flushes, and wakes
-// the background reader unless the reader role is taken (its holder
-// checks for in-flight requests before letting go). Requests move to
-// the in-flight table before their bytes hit the wire so the reader can
-// match early responses.
-func (c *PipelinedClient) writeBatches(pc *pconn) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
+// writeBatches drains the queue into batch frames and flushes. Requests
+// move to the in-flight table before their bytes hit the wire so the
+// reader can match early responses.
+func (c *PipelinedClient) writeBatches(w *bufio.Writer, conn net.Conn) error {
 	wrote := false
-	for batch := c.takeBatch(); len(batch) > 0; batch = c.takeBatch() {
-		c.appendBatch(pc, batch)
-		if len(pc.buf) >= c.opts.BatchBytes {
-			if err := c.flush(pc); err != nil {
+	for {
+		batch := c.takeBatch()
+		if len(batch) == 0 {
+			break
+		}
+		wrote = true
+		c.batches.Add(1)
+		if c.opts.Timeout > 0 {
+			conn.SetWriteDeadline(time.Now().Add(c.opts.Timeout))
+		}
+		payload := 0
+		for _, call := range batch {
+			payload += reqHdrLen + len(call.key) + len(call.val)
+		}
+		var bhdr [batchHdrLen]byte
+		binary.LittleEndian.PutUint32(bhdr[0:4], uint32(len(batch)))
+		binary.LittleEndian.PutUint32(bhdr[4:8], uint32(payload))
+		if _, err := w.Write(bhdr[:]); err != nil {
+			return err
+		}
+		for _, call := range batch {
+			var hdr [reqHdrLen]byte
+			binary.LittleEndian.PutUint64(hdr[0:8], call.seq)
+			hdr[8] = call.op
+			binary.LittleEndian.PutUint32(hdr[9:13], uint32(len(call.key)))
+			binary.LittleEndian.PutUint32(hdr[13:17], uint32(len(call.val)))
+			if _, err := w.Write(hdr[:]); err != nil {
+				return err
+			}
+			if _, err := w.Write(call.key); err != nil {
+				return err
+			}
+			if _, err := w.Write(call.val); err != nil {
 				return err
 			}
 		}
-		wrote = true
 	}
 	if !wrote {
 		return nil
 	}
-	if err := c.flush(pc); err != nil {
+	if err := w.Flush(); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	free := !pc.reading
-	c.mu.Unlock()
-	if free {
-		pc.kick()
+	if c.opts.Timeout > 0 {
+		conn.SetWriteDeadline(time.Time{})
+		c.mu.Lock()
+		pending := len(c.inflight)
+		c.mu.Unlock()
+		if pending > 0 {
+			conn.SetReadDeadline(time.Now().Add(c.opts.Timeout))
+		}
 	}
 	return nil
-}
-
-// appendBatch encodes one batch frame into pc.buf. The caller holds
-// c.wmu.
-func (c *PipelinedClient) appendBatch(pc *pconn, batch []*pcall) {
-	c.batches.Add(1)
-	pc.reqs = pc.reqs[:0]
-	for _, call := range batch {
-		pc.reqs = append(pc.reqs, call.request)
-	}
-	pc.buf = appendBatch(pc.buf, pc.reqs)
-}
-
-// flush writes out the encoded batches in one write. A buffer grown past
-// the coalescing default by large values is not kept. The caller holds
-// c.wmu.
-func (c *PipelinedClient) flush(pc *pconn) error {
-	if len(pc.buf) == 0 {
-		return nil
-	}
-	if c.opts.Timeout > 0 {
-		pc.conn.SetWriteDeadline(time.Now().Add(c.opts.Timeout))
-		defer pc.conn.SetWriteDeadline(time.Time{})
-	}
-	_, err := pc.conn.Write(pc.buf)
-	if pc.buf = pc.buf[:0]; cap(pc.buf) > 256<<10 {
-		pc.buf = nil
-	}
-	return err
 }
 
 // takeBatch moves a prefix of the queue into the in-flight table,
@@ -552,7 +492,7 @@ func (c *PipelinedClient) takeBatch() []*pcall {
 	}
 	n, size := 0, 0
 	for _, call := range c.queue {
-		sz := call.size()
+		sz := reqHdrLen + len(call.key) + len(call.val)
 		if n > 0 && (size+sz > c.opts.BatchBytes || n == maxBatchOps) {
 			break
 		}
@@ -562,33 +502,34 @@ func (c *PipelinedClient) takeBatch() []*pcall {
 			break
 		}
 	}
-	batch := c.queue[:n:n]
-	c.queue = c.queue[n:]
+	batch := make([]*pcall, n)
+	copy(batch, c.queue[:n])
 	for _, call := range batch {
-		c.cut(call)
+		c.inflight[call.seq] = call
+		if call.tc != nil {
+			// Queue stage ends at the batch cut; everything from here to
+			// response delivery (including the write syscall) is wire.
+			now := call.tc.Now()
+			call.tc.Add(tracing.StageQueue, now-call.enq)
+			call.flushed = now
+		}
+	}
+	if n == len(c.queue) {
+		c.queue = nil
+	} else {
+		c.queue = c.queue[n:]
 	}
 	return batch
-}
-
-// cut moves call into the in-flight table at its batch cut. The queue
-// stage ends here; everything from here to response delivery (the
-// write syscall included) is wire. The caller holds c.mu.
-func (c *PipelinedClient) cut(call *pcall) {
-	c.inflight[call.seq] = call
-	if call.tc != nil {
-		now := call.tc.Now()
-		call.tc.Add(tracing.StageQueue, now-call.enq)
-		call.flushed = now
-	}
 }
 
 // requeueInflight moves unanswered in-flight requests back to the front
 // of the queue, in sequence order, for retransmission on the next
 // connection. The server must observe ascending sequence numbers, and
 // every queued request carries a later sequence number than any
-// in-flight one (batches are taken from the queue front). The caller
-// holds c.mu.
+// in-flight one (batches are taken from the queue front).
 func (c *PipelinedClient) requeueInflight() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if len(c.inflight) == 0 {
 		return
 	}
@@ -617,6 +558,11 @@ func (c *PipelinedClient) failPending(cause error) {
 	c.drainPending(presult{status: statusError, err: err}, true)
 }
 
+// failAll fails pending operations at shutdown.
+func (c *PipelinedClient) failAll(cause error) {
+	c.drainPending(presult{status: statusError, err: cause}, false)
+}
+
 func (c *PipelinedClient) drainPending(res presult, countFailures bool) {
 	c.mu.Lock()
 	calls := make([]*pcall, 0, len(c.queue)+len(c.inflight))
@@ -635,16 +581,10 @@ func (c *PipelinedClient) drainPending(res presult, countFailures bool) {
 	}
 }
 
-// roundTrip submits one operation and waits for its response. A
-// non-nil trace context attributes the op's queue, wire, and server
-// stages; the queue stage starts here, so pipeline backpressure
-// (waiting for an in-flight slot) counts as queue time.
-//
-// When the pipeline is idle (a live connection, nothing queued or in
-// flight, no writer busy) the caller takes the idle path: it writes its
-// own one-request batch and reads its own response. Otherwise it queues
-// the request for the writer loop and the connection's reader delivers
-// the response.
+// roundTrip submits one operation to the pipeline and waits for its
+// response. A non-nil trace context attributes the op's queue, wire,
+// and server stages; the queue stage starts here, so pipeline
+// backpressure (waiting for an in-flight slot) counts as queue time.
 func (c *PipelinedClient) roundTrip(tc *tracing.Ctx, op byte, key, val []byte) ([]byte, byte, error) {
 	if reqHdrLen+len(key)+len(val) > maxFrame {
 		return nil, statusError, ErrFrameTooLarge
@@ -665,60 +605,18 @@ func (c *PipelinedClient) roundTrip(tc *tracing.Ctx, op byte, key, val []byte) (
 		return nil, statusError, kv.ErrClosed
 	}
 	c.seq++
-	call := &pcall{request: request{seq: c.seq, op: op, key: key, val: val}, done: make(chan presult, 1), tc: tc, enq: enq}
-	pc := c.live
-	idle := pc != nil && !pc.reading && len(c.queue) == 0 && len(c.inflight) == 0 && c.wmu.TryLock()
-	if idle {
-		pc.reading = true
-		c.cut(call)
-	} else {
-		c.queue = append(c.queue, call)
-	}
+	call := &pcall{seq: c.seq, op: op, key: key, val: val, done: make(chan presult, 1), tc: tc, enq: enq}
+	c.queue = append(c.queue, call)
 	c.mu.Unlock()
 	c.requests.Add(1)
 	c.inflightG.Add(1)
-	if idle {
-		c.exchange(pc, call)
-	} else {
-		select {
-		case c.kick <- struct{}{}:
-		default:
-		}
+	select {
+	case c.kick <- struct{}{}:
+	default:
 	}
 	res := <-call.done
 	c.inflightG.Add(-1)
 	return res.out, res.status, res.err
-}
-
-// exchange is the idle path: with c.wmu and the reader role held, it
-// writes call's batch, then reads responses until call's own arrives,
-// completing any others that were pipelined behind it. On a transport
-// failure the connection is torn down and call is retransmitted on the
-// next one like any other in-flight request.
-func (c *PipelinedClient) exchange(pc *pconn, call *pcall) {
-	c.appendBatch(pc, []*pcall{call})
-	err := c.flush(pc)
-	c.wmu.Unlock()
-	for err == nil {
-		var got *pcall
-		if got, err = c.readFrame(pc); got == call {
-			break
-		}
-	}
-	// Responses that arrived with ours are completed here rather than
-	// left to a hand-off.
-	for err == nil && pc.r.Buffered() > 0 {
-		_, err = c.readFrame(pc)
-	}
-	c.mu.Lock()
-	pc.reading = false
-	more := len(c.inflight) > 0
-	c.mu.Unlock()
-	if err != nil {
-		pc.fail()
-	} else if more {
-		pc.kick()
-	}
 }
 
 // Metrics implements kv.Introspector: client-side transport counters

@@ -181,101 +181,6 @@ func TestPipelineOutOfOrderResponses(t *testing.T) {
 	wg.Wait()
 }
 
-// A lone caller that finds the pipeline idle writes and reads its own
-// request; a caller arriving while it waits is queued behind it. A raw
-// server holds both answers until it has both requests, then sends them
-// in either order: each caller must get its own answer, the reader role
-// must pass back to the connection's reader, and the client must serve
-// further calls afterwards.
-func TestPipelineIdlePathHandsOffReaderRole(t *testing.T) {
-	for _, idleFirst := range []bool{true, false} {
-		t.Run(fmt.Sprintf("idle_answered_first=%v", idleFirst), func(t *testing.T) {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ln.Close()
-			firstIn := make(chan struct{})
-			go func() {
-				conn, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				defer conn.Close()
-				if _, err := io.ReadFull(conn, make([]byte, helloLen)); err != nil {
-					return
-				}
-				var held []request
-				for first := true; ; first = false {
-					reqs, err := readBatch(conn)
-					if err != nil {
-						return
-					}
-					if first {
-						close(firstIn)
-					}
-					if held = append(held, reqs...); len(held) < 2 {
-						continue
-					}
-					if !idleFirst {
-						for i, j := 0, len(held)-1; i < j; i, j = i+1, j-1 {
-							held[i], held[j] = held[j], held[i]
-						}
-					}
-					var out []byte
-					for _, q := range held {
-						var hdr [rsp3HdrLen]byte
-						binary.LittleEndian.PutUint64(hdr[0:8], q.seq)
-						hdr[8] = statusOK
-						binary.LittleEndian.PutUint32(hdr[9:13], uint32(len(q.key)))
-						out = append(append(out, hdr[:]...), q.key...)
-					}
-					held = held[:0]
-					if _, err := conn.Write(out); err != nil {
-						return
-					}
-				}
-			}()
-
-			cli, err := DialPipeline(ln.Addr().String(), PipelineOptions{Timeout: 5 * time.Second})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cli.Close()
-			get := func(k string, errs chan<- error) {
-				v, err := cli.Get([]byte(k))
-				if err == nil && string(v) != k {
-					err = fmt.Errorf("Get(%q) = %q: responses crossed", k, v)
-				}
-				errs <- err
-			}
-			errs := make(chan error, 2)
-			go get("idle", errs)
-			<-firstIn
-			go get("queued", errs)
-			for i := 0; i < 2; i++ {
-				if err := <-errs; err != nil {
-					t.Fatal(err)
-				}
-			}
-			// Two more pairs: the server answers only in pairs, so every
-			// second call is served by whoever holds the reader role.
-			for i := 0; i < 2; i++ {
-				go get(fmt.Sprintf("a%d", i), errs)
-				go get(fmt.Sprintf("b%d", i), errs)
-				for j := 0; j < 2; j++ {
-					if err := <-errs; err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			if m := cli.Metrics(); m["remote.requests"] != 6 || m["remote.failures"] != 0 || m["remote.dials"] != 1 {
-				t.Fatalf("metrics %v: want 6 requests on one connection, no failures", m)
-			}
-		})
-	}
-}
-
 // Reconnect replay under pipelining must be exactly-once: concurrent
 // merges driven through failing connections appear in the backing store
 // exactly once each, even when a whole in-flight batch is retransmitted.

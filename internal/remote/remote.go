@@ -16,8 +16,7 @@
 //   - pipeline.go — PipelinedClient: many in-flight requests per
 //     connection, coalesced into batch frames, with responses matched
 //     by sequence number in any order. At Depth 1 it degrades to one
-//     request in flight; a caller that finds the pipeline idle writes
-//     and reads its own request, as a lockstep client would.
+//     request in flight.
 //
 // The wire speaks protocol v3 only (all integers little-endian); a hello
 // naming any other version is closed without a reply:
